@@ -54,8 +54,8 @@ from repro.archive import FieldArchive  # noqa: E402
 from repro.datasets.registry import get_dataset  # noqa: E402
 from repro.observability import (  # noqa: E402
     Tracer,
-    counters_snapshot,
     metrics_reset,
+    metrics_snapshot,
     use_tracer,
 )
 from repro.store import Store  # noqa: E402
@@ -119,7 +119,7 @@ def bench_store(size: str, n_regions: int, repeats: int,
                 out = st.get_region("field", region)
                 latencies.append(time.perf_counter() - t0)
                 assert out.shape == (REGION_EDGE,) * len(lo)
-            counters = counters_snapshot()
+            counters = metrics_snapshot()["counters"]
         bytes_decoded = counters.get("store.bytes.decoded", 0)
         return {
             "edge": REGION_EDGE,
@@ -178,7 +178,7 @@ def bench_dpz_pack(data: np.ndarray, tmpdir: pathlib.Path) -> dict:
             st.add("field", data, codec="dpz", chunk_shape=CHUNK,
                    n_jobs=2, scheme="s", tve_nines=6)
         pack_s = time.perf_counter() - t0
-        counters = counters_snapshot()
+        counters = metrics_snapshot()["counters"]
     compressed = path.stat().st_size
     return {
         "codec": "dpz",

@@ -72,8 +72,7 @@ from repro.core.config import DPZ_L  # noqa: E402
 from repro.datasets.registry import get_dataset, get_spec  # noqa: E402
 from repro.observability import (  # noqa: E402
     Tracer,
-    counters_reset,
-    counters_snapshot,
+    get_registry,
     metrics_reset,
     metrics_snapshot,
     trace_summary,
@@ -103,7 +102,7 @@ def bench_field(name: str, size: str, repeats: int) -> dict:
     blob = b""
     solver_counters: dict = {}
     for _ in range(repeats):
-        counters_reset()
+        get_registry().reset(kinds=("counter",))
         tc = Tracer()
         t0 = time.perf_counter()
         with use_tracer(tc):
@@ -111,8 +110,8 @@ def bench_field(name: str, size: str, repeats: int) -> dict:
             dt_c = time.perf_counter() - t0
             solver_counters = {
                 k.rsplit(".", 1)[-1]: v
-                for k, v in counters_snapshot().items()
-                if k.startswith("pca.solver.")
+                for k, v in metrics_snapshot()["counters"].items()
+                if k.startswith("pca.solver.") and v
             }
         td = Tracer()
         t0 = time.perf_counter()
@@ -171,7 +170,6 @@ def capture_metrics_snapshot(size: str) -> dict:
     """
     data = get_dataset("Isotropic", size)
     comp = DPZCompressor(replace(DPZ_L, n_jobs=2))
-    counters_reset()
     metrics_reset()
     with use_tracer(Tracer()), use_quality():
         blob, stats = comp.compress_with_stats(data)

@@ -306,10 +306,8 @@ def build_parser() -> argparse.ArgumentParser:
                         help="run the repo-native static-analysis pass")
     pn.add_argument("paths", nargs="+",
                     help="files or directories to lint")
-    pn.add_argument("--format", choices=("human", "json", "json-v1"),
-                    default="human",
-                    help="output format (json-v1 = frozen version-1 "
-                         "schema for legacy report readers)")
+    pn.add_argument("--format", choices=("human", "json"),
+                    default="human", help="output format")
     pn.add_argument("--select", default=None,
                     help="comma-separated rule ids to run "
                          "(default: all)")
@@ -454,7 +452,6 @@ def _cmd_trace(args) -> int:
         Tracer,
         append_record,
         build_record,
-        counters_reset,
         metrics_reset,
         metrics_snapshot,
         trace_diff,
@@ -476,7 +473,6 @@ def _cmd_trace(args) -> int:
     name, data = _load_trace_input(args)
     cfg = scheme_config(args.scheme, tve_nines=args.nines)
     comp = DPZCompressor(cfg)
-    counters_reset()
     metrics_reset()
     tracer = Tracer()
     profiler = None
@@ -555,10 +551,7 @@ def _cmd_top(args) -> int:
 
     server = None
     if args.listen is not None:
-        from repro.observability.server import start_server
-
-        server = start_server(args.listen)
-        print(f"serving telemetry on {server.url}", file=sys.stderr)
+        server = _start_telemetry(args.listen)
 
     def fetch() -> dict:
         if args.url:
@@ -847,13 +840,12 @@ def _cmd_lint(args) -> int:
         lint_paths,
         resolve_selection,
         to_json,
-        to_json_v1,
         to_text,
     )
 
     rules = resolve_selection(args.select)
     report = lint_paths(args.paths, rules)
-    renderers = {"json": to_json, "json-v1": to_json_v1, "human": to_text}
+    renderers = {"json": to_json, "human": to_text}
     rendered = renderers[args.format](report, rules)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -881,6 +873,38 @@ _COMMANDS = {
 }
 
 
+def _start_telemetry(port: int):
+    """Serve ``/metrics``, ``/metrics.json``, ``/healthz`` and ``/runs``
+    on ``port`` from a store-less :class:`~repro.serve.ServeApp` on a
+    background thread.
+
+    The app installs a ``retain_spans=False`` tracer (when none is
+    active) before this returns, so metrics flow for the whole command
+    without keeping one span per request.
+    """
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
+
+    server = BackgroundServer(
+        ServeApp(StoreRegistry([], cache_bytes=0), port=port)).start()
+    print(f"serving telemetry on {server.app.url}", file=sys.stderr)
+    return server
+
+
+def _metrics_port_env() -> int | None:
+    """The ``$DPZ_METRICS_PORT`` port, or ``None`` when unset/empty."""
+    import os
+
+    raw = os.environ.get("DPZ_METRICS_PORT", "").strip()
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(
+            f"$DPZ_METRICS_PORT must be an integer port, got {raw!r}"
+        ) from None
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -888,40 +912,24 @@ def main(argv: list[str] | None = None) -> int:
     run id) print one line to stderr and exit 2 -- no traceback.
 
     ``DPZ_METRICS_PORT=<port>`` serves live ``/metrics`` / ``/healthz``
-    / ``/runs`` for the duration of any command (and installs a tracer
-    so the metrics actually flow), letting ``dpz top --url`` or a
-    Prometheus scrape watch e.g. a long ``dpz store pack`` from
-    another terminal.  ``dpz top`` itself is exempt: it has its own
-    ``--listen`` flag and must not steal the port it wants to poll.
+    / ``/runs`` for the duration of any command, letting ``dpz top
+    --url`` or a Prometheus scrape watch e.g. a long ``dpz store pack``
+    from another terminal.  ``dpz top`` itself is exempt: it has its
+    own ``--listen`` flag and must not steal the port it wants to poll.
     """
-    import os as _os
-
     from repro.errors import ReproError
 
     args = build_parser().parse_args(argv)
     server = None
-    prev_tracer = _UNSET = object()
     try:
-        if (_os.environ.get("DPZ_METRICS_PORT")
-                and args.command != "top"):
-            from repro.observability import Tracer, get_tracer, set_tracer
-            from repro.observability.server import maybe_start_from_env
-
-            server = maybe_start_from_env()
-            if server is not None:
-                print(f"serving telemetry on {server.url}",
-                      file=sys.stderr)
-                if get_tracer() is None:
-                    prev_tracer = set_tracer(Tracer())
+        port = _metrics_port_env() if args.command != "top" else None
+        if port is not None:
+            server = _start_telemetry(port)
         return _COMMANDS[args.command](args)
     except (_CLIError, ReproError) as exc:
         print(f"dpz {args.command}: error: {exc}", file=sys.stderr)
         return 2
     finally:
-        if prev_tracer is not _UNSET:
-            from repro.observability import set_tracer
-
-            set_tracer(prev_tracer)
         if server is not None:
             server.close()
 

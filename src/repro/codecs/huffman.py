@@ -42,7 +42,7 @@ from numpy.typing import NDArray
 from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import CodecError
-from repro.observability import counter_add, observe, span
+from repro.observability import counter_inc, observe, span
 
 __all__ = ["HuffmanTable", "huffman_encode", "huffman_decode", "MAX_CODE_LENGTH"]
 
@@ -365,8 +365,8 @@ def huffman_encode(symbols: NDArray[Any], table: HuffmanTable) -> bytes:
         bits = ((codes[owner] >> shift) & np.uint64(1)).astype(np.uint8)
         out = header + np.packbits(bits).tobytes()
         sp.add(bytes_out=len(out))
-    counter_add("huffman.encode.symbols", n)
-    counter_add("huffman.encode.bytes_out", len(out))
+    counter_inc("huffman.encode.symbols", n)
+    counter_inc("huffman.encode.bytes_out", len(out))
     observe("huffman.encode.symbols_per_call", n, lo=1.0, hi=1e9)
     return out
 
@@ -601,7 +601,7 @@ def huffman_decode(data: bytes, table: HuffmanTable,
     n, pos = decode_uvarint(data, offset)
     if n == 0:
         return np.zeros(0, dtype=np.int64), pos
-    counter_add("huffman.decode.symbols", n)
+    counter_inc("huffman.decode.symbols", n)
     observe("huffman.decode.symbols_per_call", n, lo=1.0, hi=1e9)
     with span("huffman.decode", n_symbols=n) as sp:
         sym_tab, len_tab, L = table.decode_tables()

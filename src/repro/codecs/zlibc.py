@@ -17,7 +17,7 @@ from numpy.typing import NDArray
 
 from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.errors import CodecError
-from repro.observability import counter_add, observe
+from repro.observability import counter_inc, observe
 
 __all__ = ["zlib_compress", "zlib_decompress", "DEFAULT_LEVEL"]
 
@@ -42,8 +42,8 @@ def zlib_compress(data: bytes | bytearray | memoryview | NDArray[Any],
         raw = bytes(data)
     data = raw
     packed = zlib.compress(data, level)
-    counter_add("zlib.compress.calls")
-    counter_add("zlib.compress.bytes_in", len(data))
+    counter_inc("zlib.compress.calls")
+    counter_inc("zlib.compress.bytes_in", len(data))
     observe("zlib.compress.frame_bytes",
             min(len(packed), len(data)), lo=1.0, hi=1e12)
     if data:
@@ -51,10 +51,10 @@ def zlib_compress(data: bytes | bytearray | memoryview | NDArray[Any],
                 len(data) / max(min(len(packed), len(data)), 1),
                 lo=1e-3, hi=1e6)
     if len(packed) < len(data):
-        counter_add("zlib.compress.bytes_out", len(packed))
+        counter_inc("zlib.compress.bytes_out", len(packed))
         return bytes([_DEFLATE]) + encode_uvarint(len(data)) + packed
-    counter_add("zlib.compress.bytes_out", len(data))
-    counter_add("zlib.compress.stored_raw")
+    counter_inc("zlib.compress.bytes_out", len(data))
+    counter_inc("zlib.compress.stored_raw")
     return bytes([_RAW]) + encode_uvarint(len(data)) + data
 
 
@@ -63,8 +63,8 @@ def zlib_decompress(frame: bytes | memoryview) -> bytes:
     frame = bytes(frame)
     if not frame:
         raise CodecError("empty zlib frame")
-    counter_add("zlib.decompress.calls")
-    counter_add("zlib.decompress.bytes_in", len(frame))
+    counter_inc("zlib.decompress.calls")
+    counter_inc("zlib.decompress.bytes_in", len(frame))
     mode = frame[0]
     raw_len, pos = decode_uvarint(frame, 1)
     payload = frame[pos:]

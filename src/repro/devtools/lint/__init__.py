@@ -44,7 +44,6 @@ from repro.devtools.lint.registry import (
 from repro.devtools.lint.report import (
     JSON_VERSION,
     to_json,
-    to_json_v1,
     to_text,
 )
 
@@ -63,6 +62,5 @@ __all__ = [
     "resolve_selection",
     "JSON_VERSION",
     "to_json",
-    "to_json_v1",
     "to_text",
 ]

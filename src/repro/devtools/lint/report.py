@@ -2,7 +2,7 @@
 
 The JSON document is versioned because CI uploads it as an artifact
 and the schema therefore outlives any one checkout.  Version 2 adds
-two keys on top of the v1 shape:
+two keys on top of the original version-1 shape:
 
 ``call_graph``
     Digest of the cross-module analysis (module/function/edge counts,
@@ -13,10 +13,6 @@ two keys on top of the v1 shape:
     corpus for every selected DPZ8xx rule -- evidence in the artifact
     that the concurrency checkers themselves still detect what they
     claim to.
-
-Readers pinned to the v1 schema keep working via
-``dpz lint --format json-v1`` (:func:`to_json_v1`), which emits the
-exact version-1 document with none of the new keys.
 """
 
 from __future__ import annotations
@@ -27,7 +23,7 @@ from typing import Any
 from repro.devtools.lint.engine import LintReport
 from repro.devtools.lint.registry import Rule
 
-__all__ = ["to_text", "to_json", "to_json_v1", "JSON_VERSION"]
+__all__ = ["to_text", "to_json", "JSON_VERSION"]
 
 JSON_VERSION = 2
 
@@ -59,11 +55,11 @@ def to_text(report: LintReport, rules: dict[str, Rule]) -> str:
     return "\n".join(lines)
 
 
-def _base_doc(report: LintReport, rules: dict[str, Rule]
-              ) -> dict[str, Any]:
-    """The fields shared by every JSON schema version."""
-    return {
+def to_json(report: LintReport, rules: dict[str, Rule]) -> str:
+    """Machine-readable report, current (version-2) schema."""
+    doc: dict[str, Any] = {
         "tool": "dpzlint",
+        "version": JSON_VERSION,
         "files_checked": report.files_checked,
         "suppressed": report.suppressed,
         "counts": report.counts,
@@ -76,14 +72,8 @@ def _base_doc(report: LintReport, rules: dict[str, Rule]
              "col": f.col, "message": f.message}
             for f in report.findings
         ],
+        "call_graph": report.call_graph,
     }
-
-
-def to_json(report: LintReport, rules: dict[str, Rule]) -> str:
-    """Machine-readable report, current (version-2) schema."""
-    doc = _base_doc(report, rules)
-    doc["version"] = JSON_VERSION
-    doc["call_graph"] = report.call_graph
     # Only pay the corpus cost when a corpus-backed rule was selected.
     from repro.devtools.lint.corpus import CORPUS, corpus_stats
 
@@ -93,13 +83,3 @@ def to_json(report: LintReport, rules: dict[str, Rule]) -> str:
         doc["fixture_corpus"] = {}
     return json.dumps(doc, indent=2, sort_keys=True)
 
-
-def to_json_v1(report: LintReport, rules: dict[str, Rule]) -> str:
-    """Machine-readable report, frozen version-1 schema.
-
-    Exists for CI consumers written against the original artifact
-    shape; emits exactly the v1 keys and nothing else.
-    """
-    doc = _base_doc(report, rules)
-    doc["version"] = 1
-    return json.dumps(doc, indent=2, sort_keys=True)

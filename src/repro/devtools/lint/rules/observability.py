@@ -21,17 +21,16 @@ __all__ = ["check_metric_catalog", "check_span_coverage"]
 
 #: Metric-emitting helpers whose first argument is the metric name.
 _EMITTERS = frozenset({
-    "counter_inc", "counter_add", "gauge_set", "gauge_add", "observe",
+    "counter_inc", "gauge_set", "gauge_add", "observe",
 })
 
 #: Registry factory methods (``registry.counter("name")`` etc.).
 _FACTORIES = frozenset({"counter", "gauge", "histogram"})
 
 #: Modules that legitimately pass metric names through variables (the
-#: registry plumbing itself and its shims).
+#: registry plumbing itself).
 _CATALOG_EXEMPT = (
     "repro.observability.metrics",
-    "repro.observability.counters",
     "repro.observability.catalog",
 )
 

@@ -10,8 +10,7 @@ live; otherwise **zero overhead**):
 * :mod:`repro.observability.metrics` -- a thread-safe typed registry
   of counters, gauges and fixed-bucket log-scale histograms with a
   JSON snapshot and Prometheus text exposition
-  (:func:`metrics_snapshot`, :func:`render_prometheus`).  The legacy
-  :func:`counter_add` / :func:`counters_snapshot` are shims over it.
+  (:func:`metrics_snapshot`, :func:`render_prometheus`).
 * :mod:`repro.observability.quality` -- opt-in Z-checker-style quality
   telemetry (:func:`use_quality`): per-run PSNR / max & mean error /
   CR / bit-rate / TVE on a deterministic sampled slab, recorded as
@@ -29,14 +28,15 @@ On top of those, the telemetry plane added for live operation:
   pooled ``parallel_map`` tasks capture their metric emissions into a
   private registry and ship one compact snapshot back for an exact
   parent-side merge, so counter totals are ``n_jobs``-invariant.
-* :mod:`repro.observability.server` -- a stdlib threaded HTTP endpoint
-  (``/metrics`` Prometheus text, ``/metrics.json``, ``/healthz``,
-  ``/runs``) started by ``dpz top --listen`` or ``$DPZ_METRICS_PORT``.
 * :mod:`repro.observability.profiler` -- a wall-clock sampling
   profiler over the tracer's live span stacks, rendered through the
   flamegraph exporter (``dpz trace --profile``).
 * :mod:`repro.observability.top` -- the ``dpz top`` dashboard
   renderer (pure snapshot -> text).
+
+The live endpoint (``/metrics`` Prometheus text, ``/metrics.json``,
+``/healthz``, ``/runs``) is a store-less :class:`repro.serve.ServeApp`,
+started by ``dpz top --listen`` or ``$DPZ_METRICS_PORT``.
 
 Typical use::
 
@@ -55,11 +55,6 @@ from repro.observability.aggregate import (
     merge_frames,
     snapshot_frame,
     worker_origin,
-)
-from repro.observability.counters import (
-    counter_add,
-    counters_reset,
-    counters_snapshot,
 )
 from repro.observability.emit import (
     load_trace,
@@ -145,10 +140,6 @@ __all__ = [
     "metrics_reset",
     "render_prometheus",
     "metrics_enabled",
-    # legacy counter shims
-    "counter_add",
-    "counters_snapshot",
-    "counters_reset",
     # quality telemetry
     "QualityConfig",
     "quality_enabled",
@@ -181,10 +172,6 @@ __all__ = [
     "merge_frame",
     "merge_frames",
     "worker_origin",
-    # telemetry endpoint (lazy -- see __getattr__)
-    "TelemetryServer",
-    "start_server",
-    "maybe_start_from_env",
     # sampling profiler
     "SamplingProfiler",
     "use_profiler",
@@ -192,13 +179,10 @@ __all__ = [
     "Dashboard",
 ]
 
-#: Lazily-resolved exports (PEP 562).  The telemetry server pulls in
-#: ``http.server`` and the dashboard is CLI-only; importing the package
-#: -- which every compress does -- must not pay for either.
+#: Lazily-resolved exports (PEP 562).  The dashboard is CLI-only;
+#: importing the package -- which every compress does -- must not pay
+#: for it.
 _LAZY = {
-    "TelemetryServer": "repro.observability.server",
-    "start_server": "repro.observability.server",
-    "maybe_start_from_env": "repro.observability.server",
     "Dashboard": "repro.observability.top",
 }
 

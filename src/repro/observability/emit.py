@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
-from repro.observability.counters import counters_snapshot
 from repro.observability.metrics import metrics_snapshot
 from repro.observability.tracer import Span, Tracer
 
@@ -42,13 +41,13 @@ def spans_to_ndjson(spans: Iterable[Span], *,
         rec = {"event": "span"}
         rec.update(s.to_dict())
         lines.append(json.dumps(rec, sort_keys=True))
+    snap = metrics_snapshot()
     if counters is None:
-        counters = counters_snapshot()
+        counters = {n: v for n, v in snap["counters"].items() if v}
     if counters:
         lines.append(json.dumps(
             {"event": "counters", **counters}, sort_keys=True))
     if metrics is None:
-        snap = metrics_snapshot()
         metrics = {k: v for k, v in snap.items()
                    if k in ("gauges", "histograms") and v}
     if metrics:

@@ -1,9 +1,9 @@
-"""Shared server-lifecycle plumbing: bind, one-line errors, drain.
+"""Server-lifecycle plumbing: bind, one-line errors, drain.
 
-Two listeners live in this codebase -- the threaded telemetry endpoint
-(:mod:`repro.observability.server`) and the asyncio region-retrieval
-service (:mod:`repro.serve.app`) -- and both need the same three
-things:
+Every listener in this codebase is a :class:`repro.serve.app.ServeApp`
+-- ``dpz serve`` with its stores, and the store-less telemetry endpoint
+behind ``dpz top --listen`` and ``$DPZ_METRICS_PORT`` -- and it needs
+three things:
 
 * **Binding** a TCP port or a unix socket, where every operator-level
   failure (port taken, privileged port, stale socket path owned by a
@@ -12,14 +12,13 @@ things:
 * **Tracking in-flight requests** so shutdown can *drain*: stop
   accepting, let the requests already being served finish (bounded by
   a timeout), then release the socket.
-* The same **message shapes** for both, so ``$DPZ_METRICS_PORT`` and
-  ``dpz serve`` cannot drift apart in behaviour or wording.
+* The same **message shapes** for every listener, so
+  ``$DPZ_METRICS_PORT`` and ``dpz serve`` cannot drift apart in
+  wording.
 
-This module is that single implementation.  It is transport-agnostic:
-:class:`Drainer` is plain ``threading`` (usable from handler threads
+:class:`Drainer` is plain ``threading`` (usable from worker threads
 and, via cheap non-blocking calls, from an event loop), and the bind
-helpers return ready-to-listen sockets that either server kind can
-adopt.
+helpers return ready-to-listen sockets.
 """
 
 from __future__ import annotations

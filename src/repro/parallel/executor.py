@@ -36,7 +36,7 @@ import time
 from repro.devtools.sanitize import checked_lock
 from repro.errors import ConfigError
 from repro.observability import (
-    counter_add,
+    counter_inc,
     gauge_add,
     gauge_set,
     observe,
@@ -152,10 +152,10 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
                 initializer=_worker_init,
             )
             _pool_workers = workers
-            counter_add("parallel.pool.created")
+            counter_inc("parallel.pool.created")
             gauge_set("parallel.pool.size", workers)
         else:
-            counter_add("parallel.pool.reused")
+            counter_inc("parallel.pool.reused")
         return _pool
 
 
@@ -176,11 +176,11 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
             and resolve_jobs(config.n_jobs) > 1:
         # Parallelism was requested but the work list is too small to
         # amortize pool dispatch -- the tiny-list bypass fired.
-        counter_add("parallel.map.bypassed")
+        counter_inc("parallel.map.bypassed")
 
     nested = _in_worker.flag
     if nested and not serial:
-        counter_add("parallel.pool.nested")
+        counter_inc("parallel.pool.nested")
 
     def submit(pool: ThreadPoolExecutor, task: Callable[[_U], _V],
                payload: Iterable[_U]) -> list[_V]:
@@ -200,8 +200,8 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     # per-chunk skew are visible in the trace.  The queue-depth gauge
     # tracks chunks dispatched but not yet finished; the chunk-latency
     # histogram feeds the bench gate's p50/p95 check.
-    counter_add("parallel.maps")
-    counter_add("parallel.chunks", len(items))
+    counter_inc("parallel.maps")
+    counter_inc("parallel.chunks", len(items))
     gauge_add("parallel.queue.depth", len(items))
 
     def run_chunk(pair: tuple[int, T]) -> R:

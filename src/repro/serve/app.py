@@ -22,9 +22,10 @@ Observability: the app installs a ``retain_spans=False``
 :class:`~repro.observability.Tracer` when none is active (so
 ``serve.*`` and ``store.*`` metrics flow without accumulating span
 records), opens a ``serve.request`` span around each worker-side
-request, and exposes its own registry at ``/metrics`` /
-``/metrics.json`` / ``/healthz`` -- the same payloads as the
-:mod:`repro.observability.server` telemetry endpoint.
+request, and exposes the default registry at ``/metrics`` /
+``/metrics.json``, liveness at ``/healthz`` and the run registry at
+``/runs``.  With no stores the app *is* the live telemetry endpoint
+that ``dpz top --listen`` and ``$DPZ_METRICS_PORT`` start.
 
 Shutdown is graceful: stop accepting, refuse new requests (503),
 drain in-flight ones through the shared
@@ -43,7 +44,14 @@ import time
 from typing import Any
 
 from repro.errors import ConfigError, DataShapeError, ReproError
-from repro.observability import counter_inc, gauge_set, observe, span
+from repro.observability import (
+    counter_inc,
+    gauge_set,
+    load_runs,
+    observe,
+    resolve_runlog,
+    span,
+)
 from repro.observability import tracer as _tracer
 from repro.observability.lifecycle import (
     Drainer,
@@ -76,8 +84,8 @@ PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
 
 
 def _healthz_payload(app: "ServeApp") -> dict[str, Any]:
-    # Lazy imports mirror repro.observability.server: both modules are
-    # import cycles at module scope, cheap at request time.
+    # Lazy imports: both modules are import cycles at module scope,
+    # cheap at request time.
     from repro.parallel.executor import pool_status
     from repro.store.store import open_store_stats
 
@@ -95,6 +103,13 @@ def _healthz_payload(app: "ServeApp") -> dict[str, Any]:
         "max_queue": app.max_queue,
         "requests": get_registry().counter("serve.requests").value,
     }
+
+
+def _runs_payload() -> list[dict[str, Any]]:
+    try:
+        return load_runs(resolve_runlog())
+    except FileNotFoundError:
+        return []
 
 
 class ServeApp:
@@ -292,6 +307,8 @@ class ServeApp:
             if route.kind == "metrics_json":
                 return 200, _json(metrics_snapshot()), \
                     "application/json", {}
+            if route.kind == "runs":
+                return 200, _json(_runs_payload()), "application/json", {}
             if route.kind == "stores":
                 return 200, _json({
                     "stores": self.registry.aliases()}), \
@@ -318,8 +335,7 @@ class ServeApp:
                 500, f"{type(exc).__name__}: {exc}"), \
                 "application/json", {}
         # A handler bug must become a 500 response, never an unhandled
-        # traceback killing the connection task -- the same blanket
-        # catch the telemetry server carries.
+        # traceback killing the connection task.
         except Exception as exc:  # dpzlint: ignore[DPZ302]
             counter_inc("serve.errors")
             return 500, error_body(

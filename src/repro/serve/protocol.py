@@ -12,6 +12,7 @@ URL grammar
     GET /healthz                        liveness JSON
     GET /metrics                        Prometheus text exposition
     GET /metrics.json                   metrics snapshot JSON
+    GET /runs                           run registry JSON array
     GET /v1/stores                      {"stores": ["alias", ...]}
     GET /v1/stores/{alias}/manifest     store + per-field metadata JSON
     GET /v1/stores/{alias}/fields/{field}/region?slices=0:16,8:24,3
@@ -72,6 +73,7 @@ ROUTES = (
     "/healthz",
     "/metrics",
     "/metrics.json",
+    "/runs",
     "/v1/stores",
     "/v1/stores/{alias}/manifest",
     "/v1/stores/{alias}/fields/{field}/region?slices=...",
@@ -107,9 +109,9 @@ class Route:
     """One parsed request target.
 
     ``kind`` is one of ``healthz`` / ``metrics`` / ``metrics_json`` /
-    ``stores`` / ``manifest`` / ``region``; ``alias`` and ``field``
-    are set for the store routes, ``query`` holds decoded query
-    parameters (last occurrence wins).
+    ``runs`` / ``stores`` / ``manifest`` / ``region``; ``alias`` and
+    ``field`` are set for the store routes, ``query`` holds decoded
+    query parameters (last occurrence wins).
     """
 
     kind: str
@@ -136,6 +138,8 @@ def parse_target(target: str) -> Route:
         return Route("metrics_json", query=query)
     if path == "/v1/stores":
         return Route("stores", query=query)
+    if path == "/runs":
+        return Route("runs", query=query)
     parts = [urllib.parse.unquote(p) for p in path.split("/")[1:]]
     if len(parts) == 4 and parts[:2] == ["v1", "stores"] \
             and parts[3] == "manifest" and parts[2]:

@@ -71,12 +71,10 @@ class StoreRegistry:
                     f"({self._paths[alias]!r} vs {path!r}); "
                     f"use ALIAS=PATH to disambiguate")
             self._paths[alias] = path
-        if not self._paths:
-            raise ConfigError("dpz serve needs at least one store")
-        # Equal split keeps per-store caches independent; minimum one
-        # spare byte so a single-store server with a tiny budget still
-        # coalesces (max_bytes=0 disables the LRU, not the flights).
-        self._share = cache_bytes // len(self._paths)
+        # Equal split keeps per-store caches independent (max_bytes=0
+        # disables the LRU, not the coalescing flights).  No stores is
+        # valid: that app serves the telemetry routes only.
+        self._share = cache_bytes // max(len(self._paths), 1)
         self._lock = checked_lock("serve.registry.StoreRegistry._lock")
         self._stores: dict[str, Store] = {}
         self._caches: dict[str, CoalescingChunkCache] = {}

@@ -17,8 +17,8 @@ from repro.core.kpca import fit_kpca
 from repro.errors import ConfigError
 from repro.observability import (
     Tracer,
-    counters_snapshot,
     metrics_reset,
+    metrics_snapshot,
     use_tracer,
 )
 
@@ -85,23 +85,23 @@ class TestSolverDispatch:
         with use_tracer(Tracer()):
             metrics_reset()
             fit_kpca(x, solver="auto")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c.get("pca.solver.dense") == 1
-        assert "pca.solver.randomized" not in c
+        assert c.get("pca.solver.randomized", 0) == 0
 
     def test_auto_large_feature_count_goes_randomized(self, rng):
         x = lowrank(rng, f=192)
         with use_tracer(Tracer()):
             metrics_reset()
             fit_kpca(x, solver="auto")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c.get("pca.solver.randomized") == 1
 
     def test_explicit_randomized_counted(self, rng):
         with use_tracer(Tracer()):
             metrics_reset()
             fit_kpca(lowrank(rng, f=64), solver="randomized")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c.get("pca.solver.randomized") == 1
 
     def test_centered_falls_back_to_dense(self, rng):
@@ -111,7 +111,7 @@ class TestSolverDispatch:
         with use_tracer(Tracer()):
             metrics_reset()
             res = fit_kpca(x, center=True, solver="randomized")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert res.tve_at_k >= 0.999
         assert c.get("pca.solver.fallbacks") == 1
         assert c.get("pca.solver.dense") == 1
@@ -121,7 +121,7 @@ class TestSolverDispatch:
         with use_tracer(Tracer()):
             metrics_reset()
             fit_kpca(x, k_mode="knee", solver="randomized")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c.get("pca.solver.fallbacks") == 1
 
 

@@ -95,17 +95,6 @@ def test_lint_json_v2_call_graph_and_corpus(tmp_path, capsys):
         assert entry["clean_false_positives"] == 0
 
 
-def test_lint_json_v1_keeps_frozen_schema(tmp_path, capsys):
-    path = _write(tmp_path, "dirty.py", DIRTY_SRC)
-    rc = cli.main(["lint", str(path), "--format", "json-v1"])
-    assert rc == 1
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 1
-    assert set(doc) == {"version", "tool", "files_checked", "suppressed",
-                        "counts", "rules", "findings"}
-    assert doc["counts"] == {"DPZ101": 1}
-
-
 def test_lint_corpus_skipped_when_not_selected(tmp_path, capsys):
     path = _write(tmp_path, "clean.py", CLEAN_SRC)
     rc = cli.main(["lint", str(path), "--format", "json",

@@ -9,7 +9,7 @@ import pytest
 from repro.errors import ConfigError
 from repro.observability import (
     Tracer,
-    counter_add,
+    counter_inc,
     gauge_set,
     get_registry,
     merge_frame,
@@ -37,8 +37,8 @@ def _fresh_registry():
 
 
 def _work(x: int) -> int:
-    counter_add("store.chunks.compressed", 1)
-    counter_add("store.bytes.decoded", 100 * (x + 1))
+    counter_inc("store.chunks.compressed", 1)
+    counter_inc("store.bytes.decoded", 100 * (x + 1))
     observe("store.chunk.compress.seconds", 0.001 * (x + 1))
     gauge_set("dpz.last.k", float(x))
     return x * 2
@@ -79,7 +79,7 @@ class TestPoolInvariance:
 
     def test_raising_worker_merges_nothing(self):
         def boom(x: int) -> int:
-            counter_add("store.chunks.compressed", 1)
+            counter_inc("store.chunks.compressed", 1)
             if x == 5:
                 raise RuntimeError("chunk 5 is cursed")
             return x
@@ -193,7 +193,7 @@ class TestCaptureIsolation:
     def test_capture_worker_diverts_all_emitters(self):
         with use_tracer(Tracer()):
             with capture_worker() as local:
-                counter_add("store.chunks.compressed", 2)
+                counter_inc("store.chunks.compressed", 2)
                 observe("store.chunk.compress.seconds", 0.1)
         # Emissions went to the task registry, not the default one.
         assert local.counter("store.chunks.compressed").value == 2

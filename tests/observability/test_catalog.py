@@ -26,7 +26,6 @@ def test_parallel_pool_family_is_registered():
 
 def test_telemetry_plane_families_are_registered():
     assert {"worker.snapshots.merged", "worker.merge.lossy",
-            "server.requests", "server.errors",
             "profiler.samples"} <= COUNTERS
 
 
@@ -86,28 +85,29 @@ def test_kind_sets_are_disjoint():
 
 
 def test_runtime_emissions_stay_in_catalog():
-    """End-to-end: a pooled traced run plus a server scrape only ever
-    creates cataloged (or registered-prefix) series."""
+    """End-to-end: a pooled traced run plus a telemetry scrape only
+    ever creates cataloged (or registered-prefix) series."""
     import urllib.request
 
     from repro.observability import (
         Tracer,
-        counter_add,
+        counter_inc,
         get_registry,
         use_tracer,
     )
     from repro.observability.catalog import METRIC_PREFIXES
-    from repro.observability.server import start_server
     from repro.parallel.executor import ParallelConfig, parallel_map
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
 
     get_registry().clear()
     try:
         with use_tracer(Tracer()):
-            parallel_map(lambda x: counter_add("store.chunks.compressed"),
+            parallel_map(lambda x: counter_inc("store.chunks.compressed"),
                          list(range(8)),
                          config=ParallelConfig(n_jobs=2))
-        with start_server(0) as srv:
-            urllib.request.urlopen(srv.url + "/metrics", timeout=5).read()
+        app = ServeApp(StoreRegistry([], cache_bytes=0), port=0)
+        with BackgroundServer(app):
+            urllib.request.urlopen(app.url + "/metrics", timeout=5).read()
         for name in get_registry().names():
             assert name in METRIC_NAMES or any(
                 name.startswith(p) for p in METRIC_PREFIXES), name

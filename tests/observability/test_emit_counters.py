@@ -11,10 +11,9 @@ from repro.core.compressor import DPZCompressor
 from repro.core.config import DPZ_L
 from repro.observability import (
     Tracer,
-    counter_add,
-    counters_reset,
-    counters_snapshot,
+    counter_inc,
     get_registry,
+    metrics_snapshot,
     spans_to_ndjson,
     trace_summary,
     use_tracer,
@@ -101,16 +100,16 @@ def test_spans_to_ndjson_empty_tracer():
 
 
 def test_counters_gated_on_tracing():
-    counter_add("x.calls")  # no tracer installed: dropped
-    assert counters_snapshot() == {}
+    counter_inc("x.calls")  # no tracer installed: dropped
+    assert metrics_snapshot()["counters"] == {}
     with use_tracer(Tracer()):
-        counter_add("x.calls")
-        counter_add("x.bytes", 100)
-        counter_add("x.bytes", 23)
-    snap = counters_snapshot()
+        counter_inc("x.calls")
+        counter_inc("x.bytes", 100)
+        counter_inc("x.bytes", 23)
+    snap = metrics_snapshot()["counters"]
     assert snap == {"x.bytes": 123, "x.calls": 1}
-    counters_reset()
-    assert counters_snapshot() == {}
+    get_registry().reset(kinds=("counter",))
+    assert not any(metrics_snapshot()["counters"].values())
 
 
 def test_tracing_does_not_change_output(smooth_2d):

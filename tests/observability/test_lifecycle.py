@@ -152,40 +152,3 @@ class TestDrainer:
         t.join(timeout=10.0)
         assert order == ["request-done", "drained"]
 
-
-class TestTelemetryServerDrain:
-    """The metrics server now drains in-flight requests on close."""
-
-    def test_close_waits_for_in_flight_request(self):
-        import urllib.request
-
-        from repro.observability.server import start_server
-
-        srv = start_server(0)
-        try:
-            # A request mid-flight holds the drainer; close() must not
-            # kill the socket under it.
-            with urllib.request.urlopen(srv.url + "/metrics",
-                                        timeout=5) as resp:
-                assert resp.status == 200
-        finally:
-            srv.close()
-        assert srv.drainer.closed
-
-    def test_draining_server_returns_503(self):
-        from repro.observability.server import TelemetryServer
-
-        srv = TelemetryServer(0).start()
-        srv.drainer.close()  # simulate shutdown having begun
-        import json
-        import urllib.error
-        import urllib.request
-
-        try:
-            with pytest.raises(urllib.error.HTTPError) as ei:
-                urllib.request.urlopen(srv.url + "/metrics", timeout=5)
-            assert ei.value.code == 503
-            assert json.loads(ei.value.read())["error"] \
-                == "server is draining"
-        finally:
-            srv.close()

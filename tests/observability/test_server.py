@@ -1,4 +1,9 @@
-"""Endpoint contract for the live telemetry server."""
+"""Endpoint contract for the live telemetry server.
+
+The telemetry endpoint behind ``dpz top --listen`` and
+``$DPZ_METRICS_PORT`` is a :class:`~repro.serve.ServeApp` with no
+stores; these tests pin the routes and lifecycle it must keep.
+"""
 
 from __future__ import annotations
 
@@ -9,14 +14,10 @@ import urllib.request
 
 import pytest
 
+from repro.cli import _metrics_port_env, _start_telemetry
 from repro.errors import ConfigError
 from repro.observability import get_registry
-from repro.observability.server import (
-    METRICS_PORT_ENV,
-    TelemetryServer,
-    maybe_start_from_env,
-    start_server,
-)
+from repro.serve import BackgroundServer, ServeApp, StoreRegistry
 
 
 @pytest.fixture(autouse=True)
@@ -28,8 +29,8 @@ def _fresh_registry():
 
 @pytest.fixture
 def server():
-    srv = start_server(0)  # ephemeral port
-    yield srv
+    srv = _start_telemetry(0)  # ephemeral port
+    yield srv.app
     srv.close()
 
 
@@ -61,7 +62,7 @@ def _parse_prometheus(text: str) -> dict[str, float]:
 class TestRoutes:
     def test_metrics_parses_as_prometheus_text(self, server):
         reg = get_registry()
-        reg.counter("server.requests")  # pre-touch: family must render
+        reg.counter("serve.requests")  # pre-touch: family must render
         reg.counter("store.chunks.compressed").add(7)
         reg.gauge("store.cache.bytes").set(4096.0)
         reg.histogram("store.region.seconds").observe(0.01)
@@ -73,7 +74,7 @@ class TestRoutes:
         assert samples["repro_store_cache_bytes"] == 4096.0
         assert samples["repro_store_region_seconds_count"] == 1.0
         # The scrape itself was counted.
-        assert samples["repro_server_requests_total"] >= 1.0
+        assert samples["repro_serve_requests_total"] >= 1.0
 
     def test_metrics_json_mirrors_snapshot(self, server):
         get_registry().counter("store.chunks.compressed").add(3)
@@ -127,7 +128,7 @@ class TestRoutes:
         assert err.code == 404
         payload = json.loads(err.read())
         assert "/metrics" in payload["routes"]
-        assert get_registry().counter("server.errors").value == 1
+        assert get_registry().counter("serve.errors").value == 1
 
     def test_root_serves_metrics(self, server):
         status, ctype, _ = _get(server.url + "/")
@@ -137,20 +138,20 @@ class TestRoutes:
 class TestLifecycle:
     def test_second_bind_refused_with_one_line_error(self, server):
         with pytest.raises(ConfigError) as exc_info:
-            TelemetryServer(server.port)
+            _start_telemetry(server.port)
         message = str(exc_info.value)
         assert "\n" not in message
         assert str(server.port) in message
 
     def test_close_releases_port(self):
-        srv = start_server(0)
-        port = srv.port
+        srv = _start_telemetry(0)
+        port = srv.app.port
         srv.close()
-        srv2 = start_server(port)  # rebinding proves the close was clean
+        srv2 = _start_telemetry(port)  # rebinding proves the close was clean
         srv2.close()
 
     def test_double_start_refused(self):
-        srv = start_server(0)
+        srv = _start_telemetry(0)
         try:
             with pytest.raises(ConfigError, match="already started"):
                 srv.start()
@@ -159,32 +160,44 @@ class TestLifecycle:
 
     def test_invalid_port_rejected(self):
         with pytest.raises(ConfigError, match="port"):
-            TelemetryServer(70000)
+            _start_telemetry(70000)
 
     def test_context_manager_closes(self):
-        with start_server(0) as srv:
-            status, _, _ = _get(srv.url + "/healthz")
+        app = ServeApp(StoreRegistry([], cache_bytes=0), port=0)
+        with BackgroundServer(app) as srv:
+            status, _, _ = _get(srv.app.url + "/healthz")
             assert status == 200
         with pytest.raises(urllib.error.URLError):
-            urllib.request.urlopen(srv.url + "/healthz", timeout=0.5)
+            urllib.request.urlopen(srv.app.url + "/healthz", timeout=0.5)
+
+    def test_draining_answers_503(self, server):
+        server._drainer.close()  # shutdown has begun, listener still up
+        with pytest.raises(urllib.error.HTTPError) as exc_info:
+            _get(server.url + "/metrics")
+        assert exc_info.value.code == 503
+        assert json.loads(exc_info.value.read())["error"] \
+            == "server is draining"
 
 
 class TestEnvOptIn:
     def test_absent_env_means_no_server(self, monkeypatch):
-        monkeypatch.delenv(METRICS_PORT_ENV, raising=False)
-        assert maybe_start_from_env() is None
+        monkeypatch.delenv("DPZ_METRICS_PORT", raising=False)
+        assert _metrics_port_env() is None
+        monkeypatch.setenv("DPZ_METRICS_PORT", " ")
+        assert _metrics_port_env() is None
 
-    def test_env_starts_server(self, monkeypatch):
-        monkeypatch.setenv(METRICS_PORT_ENV, "0")
-        srv = maybe_start_from_env()
-        assert srv is not None
+    def test_env_starts_server(self, monkeypatch, capsys):
+        monkeypatch.setenv("DPZ_METRICS_PORT", "0")
+        srv = _start_telemetry(_metrics_port_env())
         try:
-            status, _, _ = _get(srv.url + "/healthz")
+            status, _, _ = _get(srv.app.url + "/healthz")
             assert status == 200
         finally:
             srv.close()
+        assert f"serving telemetry on {srv.app.url}" \
+            in capsys.readouterr().err
 
     def test_malformed_env_is_one_line_error(self, monkeypatch):
-        monkeypatch.setenv(METRICS_PORT_ENV, "not-a-port")
+        monkeypatch.setenv("DPZ_METRICS_PORT", "not-a-port")
         with pytest.raises(ConfigError, match="DPZ_METRICS_PORT"):
-            maybe_start_from_env()
+            _metrics_port_env()

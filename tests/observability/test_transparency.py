@@ -146,16 +146,15 @@ def test_untraced_parallel_map_overhead_under_one_percent():
 
 def test_server_not_started_costs_nothing():
     """With no telemetry server started there must be no server
-    thread, no socket, and -- unless something else imported it -- not
-    even the server module."""
+    thread, no socket, and not even the HTTP stack imported."""
     import subprocess
     import sys as _sys
     import threading
 
     assert not [t for t in threading.enumerate()
-                if t.name == "repro-telemetry"]
+                if t.name == "dpz-serve-loop"]
     # A fresh interpreter importing the package and compressing must
-    # never pull in the HTTP machinery.
+    # never pull in the serve app, its event loop or an HTTP server.
     code = (
         "import sys\n"
         "import numpy as np\n"
@@ -163,8 +162,8 @@ def test_server_not_started_costs_nothing():
         "from repro.core.config import DPZ_L\n"
         "DPZCompressor(DPZ_L).compress("
         "np.random.RandomState(0).rand(16, 16, 16).astype(np.float32))\n"
-        "assert 'repro.observability.server' not in sys.modules\n"
-        "assert 'http.server' not in sys.modules\n"
+        "for mod in ('repro.serve', 'asyncio', 'http.server'):\n"
+        "    assert mod not in sys.modules, mod\n"
     )
     proc = subprocess.run(
         [_sys.executable, "-c", code], capture_output=True, text=True,

@@ -124,19 +124,20 @@ def test_invalid_config():
 def test_tiny_list_bypass_counted():
     from repro.observability import (
         Tracer,
-        counters_snapshot,
         metrics_reset,
+        metrics_snapshot,
         use_tracer,
     )
     with use_tracer(Tracer()):
         metrics_reset()
         parallel_map(lambda x: x, [1, 2, 3],
                      config=ParallelConfig(n_jobs=8, min_chunk=4))
-        assert counters_snapshot()["parallel.map.bypassed"] == 1
+        assert metrics_snapshot()["counters"]["parallel.map.bypassed"] == 1
         # Serial-by-request and genuinely parallel maps do not count.
         metrics_reset()
         parallel_map(lambda x: x, [1, 2, 3],
                      config=ParallelConfig(n_jobs=1, min_chunk=4))
         parallel_map(lambda x: x, list(range(8)),
                      config=ParallelConfig(n_jobs=4, min_chunk=4))
-        assert "parallel.map.bypassed" not in counters_snapshot()
+        counters = metrics_snapshot()["counters"]
+        assert counters.get("parallel.map.bypassed", 0) == 0

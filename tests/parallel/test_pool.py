@@ -9,8 +9,8 @@ import pytest
 from repro.errors import CodecError
 from repro.observability import (
     Tracer,
-    counters_reset,
-    counters_snapshot,
+    get_registry,
+    metrics_snapshot,
     use_tracer,
 )
 from repro.parallel.executor import (
@@ -23,7 +23,7 @@ from repro.parallel.executor import (
 @pytest.fixture(autouse=True)
 def _fresh_pool():
     shutdown_pool()
-    counters_reset()
+    get_registry().reset(kinds=("counter",))
     yield
     shutdown_pool()
 
@@ -35,7 +35,7 @@ def test_pool_reused_across_calls():
         for _ in range(3):
             got = parallel_map(lambda x: x * x, list(range(8)), config=cfg)
             assert got == [x * x for x in range(8)]
-    counters = counters_snapshot()
+    counters = metrics_snapshot()["counters"]
     assert counters.get("parallel.pool.created") == 1
     assert counters.get("parallel.pool.reused") == 2
 
@@ -49,7 +49,7 @@ def test_pool_grows_by_replacement():
         # Shrinking requests reuse the larger pool.
         parallel_map(lambda x: x, list(range(8)),
                      config=ParallelConfig(n_jobs=3, min_chunk=1))
-    counters = counters_snapshot()
+    counters = metrics_snapshot()["counters"]
     assert counters.get("parallel.pool.created") == 2
     assert counters.get("parallel.pool.reused") == 1
 
@@ -70,8 +70,8 @@ def test_auto_mode_capped_by_items_before_serial_decision():
     assert maps[0].meta["serial"] is True
     assert maps[0].meta["workers"] == 1
     # No pool was touched.
-    counters = counters_snapshot()
-    assert "parallel.pool.created" not in counters
+    counters = metrics_snapshot()["counters"]
+    assert counters.get("parallel.pool.created", 0) == 0
 
 
 def test_auto_mode_two_items_small_min_chunk_uses_two_workers():
@@ -127,7 +127,7 @@ def test_shutdown_pool_allows_fresh_start():
         parallel_map(lambda x: x, list(range(8)), config=cfg)
         shutdown_pool()
         parallel_map(lambda x: x, list(range(8)), config=cfg)
-    assert counters_snapshot().get("parallel.pool.created") == 2
+    assert metrics_snapshot()["counters"].get("parallel.pool.created") == 2
 
 
 def test_pool_survives_worker_thread_reentry():
@@ -145,7 +145,7 @@ def test_pool_survives_worker_thread_reentry():
     with use_tracer(Tracer()):
         got = parallel_map(outer, [10, 20], config=cfg)
     assert got == [[10, 11], [20, 21]]
-    counters = counters_snapshot()
+    counters = metrics_snapshot()["counters"]
     assert counters.get("parallel.pool.nested", 0) >= 1
     # Shared pool was created exactly once (outer call).
     assert counters.get("parallel.pool.created") == 1

@@ -74,14 +74,27 @@ class TestSpecParsing:
             StoreRegistry(["a/snap.dpzs", "b/snap.dpzs"],
                           cache_bytes=0)
 
-    def test_empty_registry_rejected(self):
-        with pytest.raises(ConfigError):
-            StoreRegistry([], cache_bytes=0)
-
 
 class TestRoutes:
     def test_stores_lists_aliases(self, client):
         assert client.stores() == ["snap"]
+
+    def test_empty_registry_serves_telemetry_routes(self, tmp_path,
+                                                    monkeypatch):
+        monkeypatch.setenv("DPZ_RUNLOG", str(tmp_path / "runs.ndjson"))
+        app = ServeApp(StoreRegistry([], cache_bytes=0), port=0)
+        with BackgroundServer(app), \
+                ServeClient(app.host, app.port) as c:
+            assert c.stores() == []
+            assert c.healthz()["serving"] == []
+            assert c.metrics_json()["counters"]["serve.requests"] >= 2
+            status, headers, body = c._get("/runs")
+            assert status == 200
+            assert headers["content-type"] == "application/json"
+            assert json.loads(body) == []
+            with pytest.raises(RequestFailed) as ei:
+                c.manifest("snap")
+            assert ei.value.status == 404
 
     def test_manifest(self, client):
         man = client.manifest("snap")

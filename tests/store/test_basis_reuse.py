@@ -20,8 +20,8 @@ from repro.api import dpz_decompress, scheme_config
 from repro.core.compressor import DPZCompressor
 from repro.observability import (
     Tracer,
-    counters_snapshot,
     metrics_reset,
+    metrics_snapshot,
     use_tracer,
 )
 from repro.store import Store
@@ -86,7 +86,7 @@ class TestReuseContract:
             metrics_reset()
             blobs = [compress_dpz(c, cache, scheme="s", tve_nines=6)
                      for c in chunks]
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c["store.basis.fits"] == 1
         assert c["store.basis.reuses"] >= 1
         for chunk, blob in zip(chunks, blobs):
@@ -104,9 +104,9 @@ class TestReuseContract:
         with use_tracer(Tracer()):
             metrics_reset()
             blob = compress_dpz(alien, cache, scheme="s", tve_nines=6)
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c.get("store.basis.refits") == 1
-        assert "store.basis.reuses" not in c
+        assert c.get("store.basis.reuses", 0) == 0
         out = dpz_decompress(blob).reshape(alien.shape)
         assert rel_l2(alien, out) <= 1e-5
 
@@ -145,7 +145,7 @@ class TestStoreIntegration:
             with Store.create(tmp_path / "s.dpzs") as st:
                 st.add("f", field, codec="dpz", chunk_shape=(16, 16, 16),
                        scheme="s", tve_nines=6)
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c["store.basis.fits"] == 1
         assert c["store.basis.reuses"] >= 1
 

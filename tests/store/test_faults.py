@@ -369,8 +369,8 @@ class TestFaultMachinery:
     def test_faults_counter_increments(self):
         from repro.observability import (
             Tracer,
-            counters_snapshot,
             metrics_reset,
+            metrics_snapshot,
             use_tracer,
         )
 
@@ -382,5 +382,5 @@ class TestFaultMachinery:
                 seed=0)
             with pytest.raises(StoreError):
                 wrapper["k/0"] = b"v"
-            assert (counters_snapshot().get("store.faults.injected")
+            assert (metrics_snapshot()["counters"].get("store.faults.injected")
                     == 1)

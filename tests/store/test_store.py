@@ -18,8 +18,8 @@ from repro.archive import CODECS, FieldArchive
 from repro.errors import ConfigError, FormatError
 from repro.observability import (
     Tracer,
-    counters_snapshot,
     metrics_reset,
+    metrics_snapshot,
     use_tracer,
 )
 from repro.store import AUTO_CANDIDATES, Store, compress_chunk_auto
@@ -133,7 +133,7 @@ class TestRegionDecodesOnlyOverlap:
         with use_tracer(Tracer()):
             out = st.get_region(
                 "f", (slice(16, 32), slice(16, 32), slice(16, 32)))
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert out.shape == (16, 16, 16)
         assert c["store.chunks.decoded"] == 1
         assert c["store.bytes.decoded"] == chunk_nbytes
@@ -147,7 +147,7 @@ class TestRegionDecodesOnlyOverlap:
         with use_tracer(Tracer()):
             Store.open(path).get_region(
                 "f", (slice(8, 24), slice(8, 24), slice(8, 24)))
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c["store.chunks.decoded"] == 8
         assert c["store.bytes.decoded"] == 8 * chunk_nbytes
 
@@ -156,7 +156,7 @@ class TestRegionDecodesOnlyOverlap:
         metrics_reset()
         with use_tracer(Tracer()):
             st.get_region("f", (slice(8, 24), slice(8, 24), slice(8, 24)))
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c["store.chunks.decoded"] == 7
         assert c["store.bytes.decoded"] == 7 * chunk_nbytes
         assert c["store.cache.hits"] == 1
@@ -169,7 +169,7 @@ class TestRegionDecodesOnlyOverlap:
         metrics_reset()
         with use_tracer(Tracer()):
             Store.open(path).get("f")
-            c = counters_snapshot()
+            c = metrics_snapshot()["counters"]
         assert c["store.chunks.decoded"] == 4
         assert c["store.bytes.decoded"] == data.nbytes
 

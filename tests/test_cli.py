@@ -252,14 +252,24 @@ def test_top_once_renders_panels(capsys):
     assert "\x1b[" not in out  # --once never clears the screen
 
 
+def _free_port() -> int:
+    """A port that was just free: bind a telemetry app, then close it."""
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
+
+    app = ServeApp(StoreRegistry([], cache_bytes=0), port=0)
+    BackgroundServer(app).start().close()
+    return app.port
+
+
 def test_top_polls_a_telemetry_endpoint(capsys):
     from repro.observability import get_registry
-    from repro.observability.server import start_server
+    from repro.serve import BackgroundServer, ServeApp, StoreRegistry
 
     get_registry().clear()
     get_registry().counter("store.chunks.compressed").add(42)
-    with start_server(0) as srv:
-        assert main(["top", "--once", "--url", srv.url]) == 0
+    app = ServeApp(StoreRegistry([], cache_bytes=0), port=0)
+    with BackgroundServer(app):
+        assert main(["top", "--once", "--url", app.url]) == 0
     out = capsys.readouterr().out
     assert "chunks compressed" in out and "42" in out
     get_registry().clear()
@@ -281,21 +291,15 @@ def test_top_unreachable_url_one_line_error(capsys):
 
 
 def test_top_listen_serves_while_rendering(capsys):
-    import json as _json
     import urllib.request
 
-    from repro.observability.server import start_server
-
     # Occupying a known free port first proves --listen binds its own.
-    probe = start_server(0)
-    port = probe.port
-    probe.close()
+    port = _free_port()
     assert main(["top", "--once", "--listen", str(port)]) == 0
     # The dashboard server is closed again on exit.
     with pytest.raises(urllib.error.URLError):
         urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
                                timeout=0.5)
-    _ = _json  # parsed responses covered by the server contract tests
 
 
 def test_trace_profile_writes_sampled_flamegraph(tmp_path, field_file,
@@ -314,16 +318,11 @@ def test_trace_profile_writes_sampled_flamegraph(tmp_path, field_file,
 
 
 def test_metrics_port_env_serves_any_command(monkeypatch, capsys):
-    import json as _json
     import urllib.request
 
-    # Trampoline: grab the URL from stderr mid-command is racy, so use
-    # a fixed ephemeral-range port that the probe trick reserves.
-    from repro.observability.server import start_server
-
-    probe = start_server(0)
-    port = probe.port
-    probe.close()
+    # Grabbing the URL from stderr mid-command is racy, so use a fixed
+    # ephemeral-range port that the probe trick reserves.
+    port = _free_port()
     monkeypatch.setenv("DPZ_METRICS_PORT", str(port))
     assert main(["datasets"]) == 0
     captured = capsys.readouterr()
@@ -332,7 +331,30 @@ def test_metrics_port_env_serves_any_command(monkeypatch, capsys):
     with pytest.raises(urllib.error.URLError):
         urllib.request.urlopen(f"http://127.0.0.1:{port}/healthz",
                                timeout=0.5)
-    _ = _json
+
+
+def test_metrics_port_env_keeps_no_spans(monkeypatch):
+    """A long command under $DPZ_METRICS_PORT must not keep one span
+    record per span it opens (e.g. one per ``dpz serve`` request)."""
+    import repro.cli as cli
+    from repro.observability import get_tracer, span
+
+    seen = {}
+
+    def many_spans(args) -> int:
+        for _ in range(500):
+            with span("serve.request"):
+                pass
+        seen["tracer"] = get_tracer()
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "datasets", many_spans)
+    monkeypatch.setenv("DPZ_METRICS_PORT", "0")
+    assert get_tracer() is None
+    assert main(["datasets"]) == 0
+    assert seen["tracer"] is not None  # metrics flowed for the command
+    assert seen["tracer"].spans == []
+    assert get_tracer() is None  # and the install was undone
 
 
 def test_metrics_port_env_malformed_one_line_error(monkeypatch, capsys):
