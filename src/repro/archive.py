@@ -26,8 +26,8 @@ codec's one-call API.  The CLI exposes this as ``dpz pack`` /
 Codec resolution goes through :mod:`repro.codecs.registry`: this
 module registers the built-in set at import, and anything registered
 later (``register_codec("bitshuffle", ...)``) is usable here and in
-the chunked store immediately.  :data:`CODECS` is kept as a live
-mapping view of the registry for backward compatibility.
+the chunked store immediately.  List the available ids with
+:func:`repro.codecs.registry.codec_ids`.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ from repro.baselines.tucker import tucker_compress, tucker_decompress
 from repro.baselines.zfp import zfp_compress, zfp_decompress
 from repro.codecs.container import pack_sections, unpack_sections
 from repro.codecs.registry import (
-    CodecTable,
     codec_functions,
     codec_ids,
     have_codec,
@@ -55,7 +54,7 @@ from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import CodecError, ConfigError, FormatError
 
-__all__ = ["FieldArchive", "CODECS"]
+__all__ = ["FieldArchive"]
 
 _MAGIC = b"DPZA"
 _VERSION = 1
@@ -111,10 +110,6 @@ for _name, (_c, _d, _kind) in _BUILTIN_CODECS.items():
     # body ever runs twice (importlib.reload in tests).
     register_codec(_name, _c, _d, kind=_kind, source="builtin",
                    overwrite=True)
-
-#: codec name -> (compress(data, **kw) -> bytes, decompress(bytes) -> array).
-#: A live view of :mod:`repro.codecs.registry`, not a private table.
-CODECS = CodecTable()
 
 
 @dataclass

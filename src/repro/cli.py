@@ -316,9 +316,15 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args) -> np.ndarray:
+def _load(args, missing: str = "no such file") -> np.ndarray:
+    """Load ``args.input``; a missing or unreadable file is a _CLIError."""
     shape = tuple(args.shape) if args.shape else None
-    return load_field(args.input, shape)
+    try:
+        return load_field(args.input, shape)
+    except FileNotFoundError:
+        raise _CLIError(f"{args.input!r}: {missing}") from None
+    except (ValueError, OSError) as exc:
+        raise _CLIError(f"cannot load {args.input!r}: {exc}") from None
 
 
 def _cmd_compress(args) -> int:
@@ -434,15 +440,9 @@ def _load_trace_input(args) -> tuple[str, np.ndarray]:
     try:
         get_spec(args.input)
     except ConfigError:
-        shape = tuple(args.shape) if args.shape else None
-        try:
-            return args.input, load_field(args.input, shape)
-        except FileNotFoundError:
-            raise _CLIError(
-                f"{args.input!r} is neither a built-in dataset (see "
-                f"'dpz datasets') nor an existing file") from None
-        except (ValueError, OSError) as exc:
-            raise _CLIError(f"cannot load {args.input!r}: {exc}") from None
+        return args.input, _load(
+            args, missing="neither a built-in dataset (see 'dpz datasets') "
+                          "nor an existing file")
     from repro.datasets.registry import get_dataset
     return args.input, get_dataset(args.input, args.size)
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Protocol
+from typing import Any, Callable, Protocol
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "codec_functions",
     "codec_ids",
     "have_codec",
-    "CodecTable",
 ]
 
 
@@ -189,29 +188,3 @@ def have_codec(name: str) -> bool:
     _ensure_builtins()
     with _LOCK:
         return name in _REGISTRY
-
-
-class CodecTable(Mapping[str, tuple[CompressFn, DecompressFn]]):
-    """Live read-only mapping view of the registry.
-
-    This is the backward-compatible shape of the old hardcoded
-    ``repro.archive.CODECS`` dict: iteration yields codec ids,
-    indexing yields ``(compress, decompress)``.  Unlike a dict, an
-    unknown id raises :class:`~repro.errors.ConfigError` naming the
-    known ids, and codecs registered after import show up immediately.
-    """
-
-    def __getitem__(self, name: str) -> tuple[CompressFn, DecompressFn]:
-        return codec_functions(name)
-
-    def __contains__(self, name: object) -> bool:
-        return isinstance(name, str) and have_codec(name)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(codec_ids())
-
-    def __len__(self) -> int:
-        return len(codec_ids())
-
-    def __repr__(self) -> str:
-        return f"CodecTable({codec_ids()})"

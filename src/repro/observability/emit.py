@@ -8,10 +8,10 @@ order), a ``{"event": "counters", ...}`` line when any counters fired,
 and a final ``{"event": "metrics", ...}`` line carrying the gauge /
 histogram snapshot when any exist.
 
-:func:`trace_summary` folds a tracer's spans into the JSON shape the
-bench harness stores in ``BENCH_*.json``: per-stage seconds and shares
-plus total bytes moved.  :func:`load_trace` reads a trace file back,
-and :func:`trace_diff` renders the per-stage regression triage behind
+:func:`trace_summary` folds a tracer's spans into a JSON-ready
+per-stage summary: seconds and shares plus total bytes moved.
+:func:`load_trace` reads a trace file back, and :func:`trace_diff`
+renders the per-stage regression triage behind
 ``dpz trace --diff A.ndjson B.ndjson``.
 """
 

@@ -28,7 +28,7 @@ no clock read.
 Output
 ------
 :func:`MetricsRegistry.snapshot` returns a JSON-ready dict (the shape
-embedded in ``BENCH_*.json`` and ``runs.ndjson``);
+embedded in ``runs.ndjson`` run records);
 :func:`MetricsRegistry.render_prometheus` renders the standard text
 exposition format (``# TYPE`` comments, ``_total`` counter suffix,
 cumulative ``_bucket{le="..."}`` series) so a scrape endpoint needs no

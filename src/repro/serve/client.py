@@ -2,9 +2,10 @@
 
 ``http.client`` with keep-alive, speaking the same :mod:`protocol
 <repro.serve.protocol>` the server does -- this is what the serve
-tests and ``benchmarks/bench_serve.py`` drive the server with, and
-the reference implementation for anyone writing a client in another
-language (the wire format is specified in FORMATS.md).
+tests and the ``serve`` workload of ``perfbench/run.py`` drive the
+server with, and the reference implementation for anyone writing a
+client in another language (the wire format is specified in
+FORMATS.md).
 
 >>> from repro.serve.client import ServeClient
 >>> with ServeClient("127.0.0.1", 8742) as c:

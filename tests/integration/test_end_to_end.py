@@ -10,6 +10,8 @@ import pytest
 
 import repro
 from repro.analysis.metrics import max_abs_error, psnr
+from repro.core.compressor import DPZCompressor
+from repro.core.config import DPZ_L
 from repro.datasets.registry import get_dataset
 
 
@@ -22,6 +24,16 @@ class TestDPZOnDatasetSuite:
         recon = repro.dpz_decompress(blob)
         assert psnr(data, recon) > 45.0
         assert data.nbytes / len(blob) > 1.0
+
+    @pytest.mark.parametrize("name, recorded", [
+        ("Isotropic", 14.2028), ("FLDSC", 203.033), ("HACC-x", 49.6955)])
+    def test_dpz_l_ratio_holds_recorded_value(self, name, recorded):
+        """DPZ-L's ratio on one field per dataset family stays within
+        2% of the value recorded for it.  A ratio depends on the bytes,
+        not the machine, so a drop is a codec regression."""
+        data = get_dataset(name, "small")
+        blob = DPZCompressor(DPZ_L).compress(data)
+        assert data.nbytes / len(blob) >= 0.98 * recorded
 
     def test_smooth_fields_beat_baselines_at_medium_accuracy(self):
         """The paper's headline: on smooth 2-D data at medium accuracy

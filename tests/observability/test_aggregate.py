@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigError
@@ -27,6 +28,7 @@ from repro.observability.aggregate import (
 )
 from repro.observability.metrics import MetricsRegistry
 from repro.parallel.executor import ParallelConfig, parallel_map
+from repro.store import MemoryStore, Store
 
 
 @pytest.fixture(autouse=True)
@@ -106,6 +108,38 @@ class TestPoolInvariance:
         assert origins and all(o.startswith("worker.") for o in origins)
         (map_span,) = [s for s in tracer.spans if s.name == "parallel.map"]
         assert map_span.meta["worker_frames"] == 8
+
+
+def _packed_snapshot(data: np.ndarray, n_jobs: int) -> dict:
+    get_registry().clear()
+    with use_tracer(Tracer()):
+        Store.create(MemoryStore()).add("vx", data, codec="dpz",
+                                        chunk_shape=16, n_jobs=n_jobs)
+    return metrics_snapshot()
+
+
+class TestStorePackInvariance:
+    def test_pooled_pack_matches_serial_telemetry(self, rng):
+        # A real dpz store pack: the merged worker frames must make
+        # every store.* counter and the chunk-compress histogram count
+        # n_jobs-invariant, with no lossy merge.
+        g = np.linspace(0, 2 * np.pi, 32)
+        zz, yy, xx = np.meshgrid(g, g, g, indexing="ij")
+        data = (np.sin(xx) * np.cos(yy) + np.sin(zz)
+                + 0.01 * rng.normal(size=xx.shape)).astype(np.float32)
+        serial = _packed_snapshot(data, 1)
+        pooled = _packed_snapshot(data, 4)
+        names = {k for k in (*serial["counters"], *pooled["counters"])
+                 if k.startswith("store.")}
+        assert names
+        for name in sorted(names):
+            assert pooled["counters"].get(name, 0) == \
+                serial["counters"].get(name, 0), name
+        hist = "store.chunk.compress.seconds"
+        assert pooled["histograms"][hist]["count"] == \
+            serial["histograms"][hist]["count"] > 0
+        assert pooled["counters"].get("worker.merge.lossy", 0) == 0
+        assert pooled["counters"].get("worker.snapshots.merged", 0) > 0
 
 
 class TestFrameProtocol:

@@ -212,7 +212,9 @@ class TestConcurrency:
         # The same three chunk-sets were hammered by 12 threads: the
         # LRU (and under races the flights) must have absorbed most
         # decodes.
-        assert snap["counters"]["store.cache.hits"] > 0
+        hits = snap["counters"]["store.cache.hits"]
+        misses = snap["counters"].get("store.cache.misses", 0)
+        assert hits / (hits + misses) >= 0.5, (hits, misses)
 
     def test_backpressure_sheds_503(self, store_path):
         registry = StoreRegistry([store_path], cache_bytes=0)

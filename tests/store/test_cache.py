@@ -16,7 +16,7 @@ import threading
 import numpy as np
 import pytest
 
-from repro.archive import CODECS
+from repro.codecs.registry import codec_ids
 from repro.errors import ConfigError
 from repro.observability import (
     Tracer,
@@ -155,11 +155,11 @@ class TestStoreCache:
         # bytes a cold read returns, for every registered codec.
         path = tmp_path / "s.dpzs"
         with Store.create(path) as st:
-            for codec in CODECS:
+            for codec in codec_ids():
                 st.add(f"f_{codec}", field_3d, codec=codec,
                        chunk_shape=(8, 8, 8), **CODEC_KWARGS[codec])
         region = (slice(3, 19), slice(0, 8), slice(5, 21))
-        for codec in CODECS:
+        for codec in codec_ids():
             cold_store = Store.open(path)
             cold = cold_store.get_region(f"f_{codec}", region)
             warm = cold_store.get_region(f"f_{codec}", region)

@@ -13,10 +13,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.archive import CODECS, FieldArchive
+from repro.archive import FieldArchive
 from repro.codecs.registry import (
     CodecSpec,
-    CodecTable,
     codec_functions,
     codec_ids,
     get_codec,
@@ -122,28 +121,6 @@ class TestLookup:
         compress, decompress = codec_functions("raw")
         data = np.arange(6, dtype="<f4")
         np.testing.assert_array_equal(decompress(compress(data)), data)
-
-
-class TestCodecTableView:
-    def test_archive_codecs_is_live_view(self, xor_codec):
-        assert isinstance(CODECS, CodecTable)
-        assert xor_codec in CODECS
-        assert set(codec_ids()) == set(CODECS)
-        unregister_codec(xor_codec)
-        try:
-            assert xor_codec not in CODECS
-        finally:
-            register_codec(xor_codec, _xor_compress, _xor_decompress,
-                           kind="lossless")
-
-    def test_unknown_index_raises_config_error(self):
-        with pytest.raises(ConfigError, match="known ids"):
-            CODECS["no-such-codec"]
-
-    def test_len_and_contains(self):
-        assert len(CODECS) == len(codec_ids())
-        assert "sz" in CODECS
-        assert 42 not in CODECS
 
 
 class TestEndToEnd:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.archive import CODECS, FieldArchive
+from repro.archive import FieldArchive
+from repro.codecs.registry import codec_functions, codec_ids
 from repro.errors import ConfigError, FormatError
 from repro.observability import (
     Tracer,
@@ -62,12 +63,12 @@ class TestRoundTrip:
         # the whole-field decode, for every codec in the registry.
         path = tmp_path / "s.dpzs"
         with Store.create(path) as st:
-            for codec in CODECS:
+            for codec in codec_ids():
                 st.add(f"f_{codec}", field_3d, codec=codec,
                        chunk_shape=(8, 8, 8), **CODEC_KWARGS[codec])
         st = Store.open(path)
         region = (slice(3, 19), slice(0, 8), slice(5, 21))
-        for codec in CODECS:
+        for codec in codec_ids():
             whole = st.get(f"f_{codec}")
             assert whole.shape == field_3d.shape
             sub = st.get_region(f"f_{codec}", region)
@@ -300,31 +301,30 @@ class TestAutoSelection:
         budget = 1e-12
         codec, payload = compress_chunk_auto(chunk, budget)
         assert codec in set(AUTO_CANDIDATES) | {"raw"}
-        from repro.archive import CODECS as _C
-        out = _C[codec][1](payload)
+        out = codec_functions(codec)[1](payload)
         assert float(np.max(np.abs(out - chunk))) <= budget
 
     def test_raw_fallback_when_no_candidate_fits(self, monkeypatch, rng):
         # Force every lossy candidate to miss the budget: the selector
         # must land on lossless raw rather than ship a violation.
         import repro.store.select as select
-        from repro.archive import CODECS as _C
         chunk = rng.normal(size=(8, 8)).astype(np.float32)
+        raw_compress, raw_decompress = codec_functions("raw")
 
         def off_by_one(data, **kw):
-            return _C["raw"][0](np.asarray(data) + 1.0)
+            return raw_compress(np.asarray(data) + 1.0)
 
         real_fns = select._fns
 
         def fake_fns(name):
             if name in AUTO_CANDIDATES:
-                return off_by_one, _C["raw"][1]
+                return off_by_one, raw_decompress
             return real_fns(name)
 
         monkeypatch.setattr(select, "_fns", fake_fns)
         codec, payload = compress_chunk_auto(chunk, 1e-6)
         assert codec == "raw"
-        np.testing.assert_array_equal(_C["raw"][1](payload), chunk)
+        np.testing.assert_array_equal(raw_decompress(payload), chunk)
 
 
 class TestFromArchive:

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.analysis.metrics import max_abs_error, psnr
-from repro.archive import CODECS, FieldArchive
+from repro.archive import FieldArchive
+from repro.codecs.registry import codec_ids
 from repro.errors import ConfigError, FormatError
 
 
@@ -48,10 +49,10 @@ class TestBuildAndRead:
             "scale-offset": {"eps": 1e-4},
         }
         ar = FieldArchive()
-        for codec in CODECS:
+        for codec in codec_ids():
             ar.add(f"f_{codec}", tiny_3d, codec=codec, **kwargs[codec])
         restored = FieldArchive.from_bytes(ar.to_bytes())
-        for codec in CODECS:
+        for codec in codec_ids():
             out = restored.get(f"f_{codec}")
             assert out.shape == tiny_3d.shape
             assert psnr(tiny_3d, out) > 35.0 or codec == "raw"

@@ -126,6 +126,19 @@ def test_trace_unknown_input_one_line_error(capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", ["compress", "probe"])
+def test_missing_input_one_line_error(tmp_path, command, capsys):
+    argv = [command, str(tmp_path / "nope.npy")]
+    if command == "compress":
+        argv.append(str(tmp_path / "o.dpz"))
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    err_lines = [ln for ln in captured.err.splitlines() if ln]
+    assert len(err_lines) == 1
+    assert "nope.npy" in err_lines[0]
+    assert "Traceback" not in captured.err
+
+
 def test_trace_without_input_or_diff_errors(capsys):
     assert main(["trace"]) == 2
     assert "error" in capsys.readouterr().err
