@@ -36,8 +36,8 @@ store
 serve
     ``dpz serve STORE ... [--port 8742 | --unix-socket PATH]
     [--workers N] [--cache-bytes B]`` -- serve store regions over the
-    HTTP wire protocol (FORMATS.md), with request coalescing and
-    queue-depth backpressure; SIGTERM/SIGINT drain gracefully.
+    HTTP wire protocol (FORMATS.md), with queue-depth backpressure;
+    SIGTERM/SIGINT drain gracefully.
 """
 
 from __future__ import annotations
@@ -281,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     pv = sub.add_parser("serve",
                         help="serve store regions over HTTP "
-                             "(request coalescing + backpressure; "
-                             "wire protocol in FORMATS.md)")
+                             "(backpressure; wire protocol in "
+                             "FORMATS.md)")
     pv.add_argument("stores", nargs="+", metavar="SPEC",
                     help="store path or ALIAS=PATH "
                          "(e.g. snap.dpzs hot=run42.dpzs)")
@@ -316,19 +316,44 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load(args, missing: str = "no such file") -> np.ndarray:
-    """Load ``args.input``; a missing or unreadable file is a _CLIError."""
-    shape = tuple(args.shape) if args.shape else None
+def _load(path: str, shape: list[int] | None = None,
+          missing: str = "no such file") -> np.ndarray:
+    """Load one input field; a missing or unreadable file is a _CLIError."""
     try:
-        return load_field(args.input, shape)
+        return load_field(path, tuple(shape) if shape else None)
     except FileNotFoundError:
-        raise _CLIError(f"{args.input!r}: {missing}") from None
-    except (ValueError, OSError) as exc:
-        raise _CLIError(f"cannot load {args.input!r}: {exc}") from None
+        raise _CLIError(f"{path!r}: {missing}") from None
+    except ValueError as exc:
+        raise _CLIError(f"cannot load {path!r}: {exc}") from None
+
+
+def _load_fields(specs: list[str]) -> list[tuple[str, np.ndarray]]:
+    """Parse and load every ``NAME=FILE`` spec before any output exists."""
+    fields = []
+    for spec in specs:
+        name, sep, path = spec.partition("=")
+        if not sep:
+            raise _CLIError(f"field spec must be NAME=FILE, got {spec!r}")
+        fields.append((name, _load(path)))
+    return fields
+
+
+def _codec_kwargs(args) -> dict:
+    """The ``pack``/``store pack`` codec flags as ``add`` keywords."""
+    kw: dict = {}
+    if args.codec == "dpz":
+        kw["scheme"] = args.scheme
+        if args.nines is not None:
+            kw["tve_nines"] = args.nines
+    elif args.codec in ("sz", "mgard"):
+        kw["rel_eps"] = args.rel_eps
+    elif args.codec == "zfp":
+        kw["rate"] = args.rate
+    return kw
 
 
 def _cmd_compress(args) -> int:
-    data = _load(args)
+    data = _load(args.input, args.shape)
     cfg = scheme_config(args.scheme, tve_nines=args.nines, knee=args.knee,
                         knee_fit=args.knee_fit, use_sampling=args.sampling)
     comp = DPZCompressor(cfg)
@@ -359,7 +384,7 @@ def _cmd_decompress(args) -> int:
 
 
 def _cmd_probe(args) -> int:
-    data = _load(args)
+    data = _load(args.input, args.shape)
     report = dpz_probe(data, args.scheme, tve_nines=args.nines)
     print(f"estimated k:        {report.k_estimate} "
           f"(subsets: {list(report.subset_ks)})")
@@ -441,8 +466,9 @@ def _load_trace_input(args) -> tuple[str, np.ndarray]:
         get_spec(args.input)
     except ConfigError:
         return args.input, _load(
-            args, missing="neither a built-in dataset (see 'dpz datasets') "
-                          "nor an existing file")
+            args.input, args.shape,
+            missing="neither a built-in dataset (see 'dpz datasets') "
+                    "nor an existing file")
     from repro.datasets.registry import get_dataset
     return args.input, get_dataset(args.input, args.size)
 
@@ -631,21 +657,11 @@ def _cmd_runs(args) -> int:
 def _cmd_pack(args) -> int:
     from repro.archive import FieldArchive
 
-    kw: dict = {}
-    if args.codec == "dpz":
-        kw["scheme"] = args.scheme
-        if args.nines is not None:
-            kw["tve_nines"] = args.nines
-    elif args.codec in ("sz", "mgard"):
-        kw["rel_eps"] = args.rel_eps
-    elif args.codec == "zfp":
-        kw["rate"] = args.rate
+    fields = _load_fields(args.fields)
+    kw = _codec_kwargs(args)
     archive = FieldArchive()
-    for spec in args.fields:
-        if "=" not in spec:
-            raise SystemExit(f"field spec must be NAME=FILE, got {spec!r}")
-        name, path = spec.split("=", 1)
-        archive.add(name, load_field(path), codec=args.codec, **kw)
+    for name, data in fields:
+        archive.add(name, data, codec=args.codec, **kw)
     archive.save(args.output)
     print(f"packed {len(archive.names())} fields "
           f"(total CR {archive.total_cr():.2f}x) -> {args.output}")
@@ -703,21 +719,6 @@ def _parse_region_spec(spec: str) -> tuple:
     return tuple(sels)
 
 
-def _store_pack_kwargs(args) -> dict:
-    kw: dict = {}
-    if args.codec == "auto":
-        kw["error_budget"] = args.budget
-    elif args.codec == "dpz":
-        kw["scheme"] = args.scheme
-        if args.nines is not None:
-            kw["tve_nines"] = args.nines
-    elif args.codec in ("sz", "mgard"):
-        kw["rel_eps"] = args.rel_eps
-    elif args.codec == "zfp":
-        kw["rate"] = args.rate
-    return kw
-
-
 def _parse_chunk(values):
     """``--chunk`` values -> ``Store.add`` chunk_shape argument."""
     if not values:
@@ -746,15 +747,14 @@ def _cmd_store(args) -> int:
 
     if args.store_command == "pack":
         chunk = _parse_chunk(args.chunk)
-        kw = _store_pack_kwargs(args)
+        fields = _load_fields(args.fields)
+        kw = _codec_kwargs(args)
+        if args.codec == "auto":
+            kw["error_budget"] = args.budget
         store = Store.create(args.output, backend=args.backend)
-        for spec in args.fields:
-            if "=" not in spec:
-                raise _CLIError(
-                    f"field spec must be NAME=FILE, got {spec!r}")
-            name, path = spec.split("=", 1)
-            store.add(name, load_field(path), codec=args.codec,
-                      chunk_shape=chunk, n_jobs=args.jobs, **kw)
+        for name, data in fields:
+            store.add(name, data, codec=args.codec, chunk_shape=chunk,
+                      n_jobs=args.jobs, **kw)
         print(f"packed {len(store.names())} fields "
               f"(total CR {store.total_cr():.2f}x) -> {args.output}")
         return 0
@@ -908,8 +908,9 @@ def _metrics_port_env() -> int | None:
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code.
 
-    Anticipated failures (bad input path, malformed container, unknown
-    run id) print one line to stderr and exit 2 -- no traceback.
+    Anticipated failures (missing or unreadable file, malformed
+    container, unknown run id) print one line to stderr and exit 2 --
+    no traceback.
 
     ``DPZ_METRICS_PORT=<port>`` serves live ``/metrics`` / ``/healthz``
     / ``/runs`` for the duration of any command, letting ``dpz top
@@ -926,7 +927,7 @@ def main(argv: list[str] | None = None) -> int:
         if port is not None:
             server = _start_telemetry(port)
         return _COMMANDS[args.command](args)
-    except (_CLIError, ReproError) as exc:
+    except (_CLIError, ReproError, OSError) as exc:
         print(f"dpz {args.command}: error: {exc}", file=sys.stderr)
         return 2
     finally:

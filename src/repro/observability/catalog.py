@@ -41,8 +41,6 @@ COUNTERS: frozenset[str] = frozenset({
     "profiler.samples",
     "quality.runs",
     "serve.bytes.sent",
-    "serve.coalesce.hits",
-    "serve.coalesce.waits",
     "serve.errors",
     "serve.requests",
     "serve.shed",

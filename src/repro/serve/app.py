@@ -14,9 +14,8 @@ The event loop never blocks on a decode: region and manifest requests
 run on a bounded :class:`~concurrent.futures.ThreadPoolExecutor`, and
 when more than ``max_queue`` of them are in flight the server *sheds*
 -- HTTP 503 with a ``Retry-After`` hint -- instead of queueing without
-bound (``serve.shed``).  Concurrent requests that miss on the same
-chunk decode it once via the registry's per-store
-:class:`~repro.serve.coalesce.CoalescingChunkCache`.
+bound (``serve.shed``).  Decoded chunks are reused through each store's
+LRU chunk cache, sized by the registry.
 
 Observability: the app installs a ``retain_spans=False``
 :class:`~repro.observability.Tracer` when none is active (so
@@ -28,8 +27,8 @@ request, and exposes the default registry at ``/metrics`` /
 that ``dpz top --listen`` and ``$DPZ_METRICS_PORT`` start.
 
 Shutdown is graceful: stop accepting, refuse new requests (503),
-drain in-flight ones through the shared
-:class:`~repro.observability.lifecycle.Drainer`, then tear down the
+drain in-flight ones through the
+:class:`~repro.serve.lifecycle.Drainer`, then tear down the
 pool.  ``dpz serve`` wires SIGTERM/SIGINT to exactly this path.
 """
 
@@ -53,13 +52,8 @@ from repro.observability import (
     span,
 )
 from repro.observability import tracer as _tracer
-from repro.observability.lifecycle import (
-    Drainer,
-    bind_tcp_socket,
-    bind_unix_socket,
-    validate_port,
-)
 from repro.observability.metrics import get_registry, metrics_snapshot
+from repro.serve.lifecycle import Drainer, bind_tcp_socket, bind_unix_socket
 from repro.serve.protocol import (
     REGION_CONTENT_TYPE,
     ROUTES,
@@ -144,11 +138,10 @@ class ServeApp:
             "%Y-%m-%dT%H:%M:%SZ", time.gmtime(self.started_at))
         self.unix_socket = unix_socket
         if unix_socket is not None:
-            self._sock = bind_unix_socket(unix_socket, what="serve")
+            self._sock = bind_unix_socket(unix_socket)
             self.host, self.port = "", 0
         else:
-            validate_port(port)
-            self._sock = bind_tcp_socket(host, port, what="serve")
+            self._sock = bind_tcp_socket(host, port)
             self.host = host
             self.port = int(self._sock.getsockname()[1])
 
@@ -273,7 +266,7 @@ class ServeApp:
         keep = (version != "HTTP/1.0"
                 and headers.get("connection", "").lower() != "close")
         try:
-            tracked = self._drainer.track().__enter__()
+            self._drainer.__enter__()
         except ConfigError:
             await self._write_error(writer, version, 503,
                                     "server is draining",
@@ -285,7 +278,7 @@ class ServeApp:
             await self._write(writer, version, status, body, ctype,
                               keep=keep, extra=extra)
         finally:
-            tracked.__exit__(None, None, None)
+            self._drainer.__exit__(None, None, None)
             observe("serve.request.seconds", time.perf_counter() - t0)
         return keep
 

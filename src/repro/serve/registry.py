@@ -4,10 +4,9 @@
 process.  Each positional argument is a *spec*: either a bare path
 (the alias is the filename stem) or ``alias=path``.  Stores open
 lazily -- the first request touching an alias pays the manifest read
--- and each gets its own :class:`CoalescingChunkCache` sized by an
-equal share of the server's ``--cache-bytes`` budget, so one hot store
-cannot evict the cache out from under the protocol's coalescing
-guarantees on another.
+-- and each gets its own chunk cache sized by an equal share of the
+server's ``--cache-bytes`` budget, so one hot store cannot evict
+another's chunks.
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from typing import Any, Iterable
 
 from repro.devtools.sanitize import checked_lock
 from repro.errors import ConfigError, FormatError, StoreError
-from repro.serve.coalesce import CoalescingChunkCache
 from repro.serve.protocol import RequestFailed
 from repro.store import Store
 
@@ -53,8 +51,8 @@ class StoreRegistry:
     """Alias -> lazily-opened :class:`~repro.store.store.Store` map.
 
     Thread-safe: worker threads race on first-open; the registry lock
-    serialises the open so exactly one handle (and one coalescing
-    cache) exists per alias.
+    serialises the open so exactly one handle (and one chunk cache)
+    exists per alias.
     """
 
     def __init__(self, specs: Iterable[str], *,
@@ -71,13 +69,11 @@ class StoreRegistry:
                     f"({self._paths[alias]!r} vs {path!r}); "
                     f"use ALIAS=PATH to disambiguate")
             self._paths[alias] = path
-        # Equal split keeps per-store caches independent (max_bytes=0
-        # disables the LRU, not the coalescing flights).  No stores is
-        # valid: that app serves the telemetry routes only.
+        # Equal split keeps per-store caches independent.  No stores
+        # is valid: that app serves the telemetry routes only.
         self._share = cache_bytes // max(len(self._paths), 1)
         self._lock = checked_lock("serve.registry.StoreRegistry._lock")
         self._stores: dict[str, Store] = {}
-        self._caches: dict[str, CoalescingChunkCache] = {}
 
     def aliases(self) -> list[str]:
         """Registered aliases in CLI order."""
@@ -103,21 +99,14 @@ class StoreRegistry:
         with self._lock:
             store = self._stores.get(alias)
             if store is None:
-                cache = CoalescingChunkCache(self._share)
                 try:
-                    store = Store.open(path, chunk_cache=cache)
+                    store = Store.open(path, cache_bytes=self._share)
                 except (FormatError, StoreError, OSError) as exc:
                     raise RequestFailed(
                         502, f"store {alias!r} ({path!r}) failed to "
                         f"open: {exc}") from exc
                 self._stores[alias] = store
-                self._caches[alias] = cache
             return store
-
-    def cache(self, alias: str) -> CoalescingChunkCache | None:
-        """The coalescing cache behind an *already-opened* alias."""
-        with self._lock:
-            return self._caches.get(alias)
 
     def manifest(self, alias: str) -> dict[str, Any]:
         """The JSON manifest payload for one store."""
@@ -131,10 +120,6 @@ class StoreRegistry:
         }
 
     def close(self) -> None:
-        """Drop handles and wake any flight still parked on a cache."""
+        """Drop every opened handle (and with it, its chunk cache)."""
         with self._lock:
-            caches = list(self._caches.values())
             self._stores.clear()
-            self._caches.clear()
-        for cache in caches:
-            cache.clear()

@@ -113,16 +113,6 @@ class ChunkCache:
             gauge_set("store.cache.bytes", float(self._nbytes))
         return arr
 
-    def cancel(self, key: CacheKey) -> None:
-        """Abandon a decode the caller claimed but cannot finish.
-
-        A no-op here: the plain cache hands out no claims.  Coalescing
-        subclasses (:class:`repro.serve.coalesce.CoalescingChunkCache`)
-        override this to wake waiters parked on the failed key --
-        :class:`~repro.store.store.Store` calls it whenever a decode
-        that followed a cache miss raises.
-        """
-
     def invalidate_field(self, name: str) -> int:
         """Drop every entry of one field; returns how many were held."""
         with self._lock:

@@ -144,12 +144,10 @@ class Store:
     """
 
     def __init__(self, backend: ByteStore, fields: list[FieldMeta], *,
-                 cache_bytes: int = DEFAULT_CACHE_BYTES,
-                 chunk_cache: ChunkCache | None = None) -> None:
+                 cache_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         self._backend = backend
         self._fields: dict[str, FieldMeta] = {m.name: m for m in fields}
-        self._cache = (chunk_cache if chunk_cache is not None
-                       else ChunkCache(cache_bytes))
+        self._cache = ChunkCache(cache_bytes)
         _OPEN_STORES.add(self)
 
     # -- lifecycle --------------------------------------------------------
@@ -176,16 +174,13 @@ class Store:
     @classmethod
     def open(cls, target: Union[PathLike, ByteStore], *,
              backend: str = "auto",
-             cache_bytes: int = DEFAULT_CACHE_BYTES,
-             chunk_cache: ChunkCache | None = None) -> "Store":
+             cache_bytes: int = DEFAULT_CACHE_BYTES) -> "Store":
         """Open an existing store *lazily*: manifest only.
 
         No chunk payload is touched; a store holding terabytes of
         chunks opens with one manifest-sized read.  ``cache_bytes``
         bounds this handle's in-memory decoded-chunk cache (0
-        disables it).  ``chunk_cache`` substitutes a pre-built cache
-        instance instead -- the hook ``dpz serve`` uses to install its
-        coalescing cache -- and overrides ``cache_bytes``.
+        disables it).
         """
         bk = (target if isinstance(target, ByteStore)
               else resolve_backend(target, backend=backend))
@@ -197,8 +192,7 @@ class Store:
                 f"store (or never initialized)") from None
         if bk.framed:
             blob = unpack_kv_value(blob)
-        return cls(bk, decode_manifest(blob), cache_bytes=cache_bytes,
-                   chunk_cache=chunk_cache)
+        return cls(bk, decode_manifest(blob), cache_bytes=cache_bytes)
 
     def __enter__(self) -> "Store":
         """Context-manager entry; returns self."""
@@ -515,28 +509,18 @@ class Store:
         cached = self._cache.get(cache_key)
         if cached is not None:
             return cached, 0, 0
-        # A miss claims the decode on coalescing caches: every exit
-        # below must either put() the chunk or cancel() the claim, or
-        # waiters parked on this key would stall until their timeout.
+        ref = meta.chunks[index]
+        key = chunk_key(meta.name, index)
         try:
-            ref = meta.chunks[index]
-            key = chunk_key(meta.name, index)
-            try:
-                value = self._backend[key]
-            except StoreKeyError as exc:
-                raise FormatError(
-                    f"field {meta.name!r} chunk {coord}: backend has "
-                    f"no key {key!r} ({exc})") from exc
-            counter_inc("store.backend.reads")
-            payload = (unpack_kv_value(value) if self._backend.framed
-                       else value)
-            chunk = self._decode_chunk(meta, ref, payload, coord)
-        # Not a swallow: the claim must be released on *any* exit --
-        # including KeyboardInterrupt -- and the exception re-raises
-        # unchanged.
-        except BaseException:  # dpzlint: ignore[DPZ302]
-            self._cache.cancel(cache_key)
-            raise
+            value = self._backend[key]
+        except StoreKeyError as exc:
+            raise FormatError(
+                f"field {meta.name!r} chunk {coord}: backend has "
+                f"no key {key!r} ({exc})") from exc
+        counter_inc("store.backend.reads")
+        payload = (unpack_kv_value(value) if self._backend.framed
+                   else value)
+        chunk = self._decode_chunk(meta, ref, payload, coord)
         chunk = self._cache.put(cache_key, chunk)
         counter_inc("store.chunks.decoded")
         return chunk, len(payload), int(chunk.nbytes)

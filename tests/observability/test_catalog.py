@@ -31,8 +31,7 @@ def test_telemetry_plane_families_are_registered():
 
 def test_serve_family_is_registered():
     assert {"serve.requests", "serve.errors", "serve.shed",
-            "serve.bytes.sent", "serve.coalesce.hits",
-            "serve.coalesce.waits"} <= COUNTERS
+            "serve.bytes.sent"} <= COUNTERS
     assert "serve.queue.depth" in GAUGES
     assert "serve.request.seconds" in HISTOGRAMS
 

@@ -1,4 +1,4 @@
-"""Shared server-lifecycle plumbing: bind helpers and the Drainer."""
+"""Serve listener plumbing: bind helpers and the Drainer."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.errors import ConfigError
-from repro.observability.lifecycle import (
+from repro.serve.lifecycle import (
     Drainer,
     bind_failure,
     bind_tcp_socket,
@@ -31,7 +31,7 @@ class TestValidatePort:
 
 class TestBindTcp:
     def test_binds_and_listens(self):
-        sock = bind_tcp_socket("127.0.0.1", 0, what="test")
+        sock = bind_tcp_socket("127.0.0.1", 0)
         try:
             host, port = sock.getsockname()
             assert port > 0
@@ -41,26 +41,26 @@ class TestBindTcp:
             sock.close()
 
     def test_conflict_is_one_line_config_error(self):
-        sock = bind_tcp_socket("127.0.0.1", 0, what="test")
+        sock = bind_tcp_socket("127.0.0.1", 0)
         try:
             port = sock.getsockname()[1]
             with pytest.raises(ConfigError,
-                               match="cannot bind test listener"):
-                bind_tcp_socket("127.0.0.1", port, what="test")
+                               match="cannot bind serve listener"):
+                bind_tcp_socket("127.0.0.1", port)
         finally:
             sock.close()
 
     def test_bind_failure_message_shape(self):
-        err = bind_failure("telemetry", "127.0.0.1:9412",
+        err = bind_failure("127.0.0.1:9412",
                            OSError(98, "Address already in use"))
-        assert str(err) == ("cannot bind telemetry listener on "
+        assert str(err) == ("cannot bind serve listener on "
                             "127.0.0.1:9412: Address already in use")
 
 
 class TestBindUnix:
     def test_binds_fresh_path(self, tmp_path):
         path = str(tmp_path / "fresh.sock")
-        sock = bind_unix_socket(path, what="test")
+        sock = bind_unix_socket(path)
         try:
             probe = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
             probe.connect(path)
@@ -73,15 +73,15 @@ class TestBindUnix:
         dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         dead.bind(path)
         dead.close()  # socket file remains, nobody listening
-        sock = bind_unix_socket(path, what="test")
+        sock = bind_unix_socket(path)
         sock.close()
 
     def test_live_socket_is_refused(self, tmp_path):
         path = str(tmp_path / "live.sock")
-        live = bind_unix_socket(path, what="test")
+        live = bind_unix_socket(path)
         try:
             with pytest.raises(ConfigError, match="live process"):
-                bind_unix_socket(path, what="test")
+                bind_unix_socket(path)
         finally:
             live.close()
 
@@ -89,7 +89,7 @@ class TestBindUnix:
         path = tmp_path / "notasocket"
         path.write_text("precious")
         with pytest.raises(ConfigError, match="not a socket"):
-            bind_unix_socket(str(path), what="test")
+            bind_unix_socket(str(path))
         assert path.read_text() == "precious"
 
 
@@ -97,7 +97,7 @@ class TestDrainer:
     def test_track_counts(self):
         d = Drainer()
         assert d.active == 0
-        with d.track():
+        with d:
             assert d.active == 1
         assert d.active == 0
 
@@ -106,7 +106,7 @@ class TestDrainer:
         d.close()
         assert d.closed
         with pytest.raises(ConfigError, match="draining"):
-            d.track().__enter__()
+            d.__enter__()
 
     def test_wait_idle_immediate_when_idle(self):
         d = Drainer()
@@ -118,7 +118,7 @@ class TestDrainer:
         release = threading.Event()
 
         def holder():
-            with d.track():
+            with d:
                 entered.set()
                 release.wait(10.0)
 
@@ -138,7 +138,7 @@ class TestDrainer:
         started = threading.Event()
 
         def request():
-            with d.track():
+            with d:
                 started.set()
                 time.sleep(0.1)
                 order.append("request-done")

@@ -210,8 +210,7 @@ class TestConcurrency:
             snap = c.metrics_json()
         assert snap["counters"]["serve.requests"] >= 100
         # The same three chunk-sets were hammered by 12 threads: the
-        # LRU (and under races the flights) must have absorbed most
-        # decodes.
+        # LRU must have absorbed most decodes.
         hits = snap["counters"]["store.cache.hits"]
         misses = snap["counters"].get("store.cache.misses", 0)
         assert hits / (hits + misses) >= 0.5, (hits, misses)

@@ -15,7 +15,6 @@ import threading
 import numpy as np
 import pytest
 
-from repro.serve.coalesce import CoalescingChunkCache
 from repro.store import Store
 
 N_THREADS = 8
@@ -100,14 +99,6 @@ def test_shared_handle_hammer(hammer_store, expected, cache_bytes):
     assert _hammer(store, expected) == []
 
 
-def test_shared_handle_hammer_with_coalescing_cache(hammer_store,
-                                                    expected):
-    """The serve-grade singleflight cache under the same storm."""
-    store = Store.open(
-        hammer_store, chunk_cache=CoalescingChunkCache(1 << 22))
-    assert _hammer(store, expected) == []
-
-
 def test_hammer_under_tracer(hammer_store, expected):
     """Metrics emission on the hot path must also be thread-safe."""
     from repro.observability import (
@@ -118,8 +109,7 @@ def test_hammer_under_tracer(hammer_store, expected):
     )
 
     get_registry().clear()
-    store = Store.open(
-        hammer_store, chunk_cache=CoalescingChunkCache(1 << 22))
+    store = Store.open(hammer_store, cache_bytes=1 << 22)
     with use_tracer(Tracer(retain_spans=False)):
         failures = _hammer(store, expected)
     assert failures == []

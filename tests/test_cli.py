@@ -126,16 +126,32 @@ def test_trace_unknown_input_one_line_error(capsys):
     assert "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("command", ["compress", "probe"])
+#: argv per command (``{d}`` is a scratch dir) and the missing file.
+_MISSING_INPUT = {
+    "compress": (["compress", "{d}/nope.npy", "{d}/o.dpz"], "nope.npy"),
+    "probe": (["probe", "{d}/nope.npy"], "nope.npy"),
+    "decompress": (["decompress", "{d}/nope.dpz", "{d}/o.npy"],
+                   "nope.dpz"),
+    "info": (["info", "{d}/nope.dpz"], "nope.dpz"),
+    "list": (["list", "{d}/nope.dpza"], "nope.dpza"),
+    "unpack": (["unpack", "{d}/nope.dpza", "f", "{d}/o.npy"],
+               "nope.dpza"),
+    "pack": (["pack", "{d}/o.dpza", "a={d}/nope.npy"], "nope.npy"),
+    "store-pack": (["store", "pack", "{d}/o.dpzs", "a={d}/nope.npy"],
+                   "nope.npy"),
+    "store-from-archive": (["store", "from-archive", "{d}/nope.dpza",
+                            "{d}/o.dpzs"], "nope.dpza"),
+}
+
+
+@pytest.mark.parametrize("command", list(_MISSING_INPUT))
 def test_missing_input_one_line_error(tmp_path, command, capsys):
-    argv = [command, str(tmp_path / "nope.npy")]
-    if command == "compress":
-        argv.append(str(tmp_path / "o.dpz"))
-    assert main(argv) == 2
+    template, missing = _MISSING_INPUT[command]
+    assert main([arg.format(d=tmp_path) for arg in template]) == 2
     captured = capsys.readouterr()
     err_lines = [ln for ln in captured.err.splitlines() if ln]
     assert len(err_lines) == 1
-    assert "nope.npy" in err_lines[0]
+    assert missing in err_lines[0]
     assert "Traceback" not in captured.err
 
 

@@ -55,10 +55,11 @@ def test_pack_raw_codec_lossless(tmp_path, two_fields, smooth_2d):
     np.testing.assert_array_equal(load_field(back), smooth_2d)
 
 
-def test_pack_bad_spec_rejected(tmp_path, two_fields):
+def test_pack_bad_spec_rejected(tmp_path, two_fields, capsys):
     a, _ = two_fields
-    with pytest.raises(SystemExit):
-        main(["pack", str(tmp_path / "x.dpza"), str(a)])
+    assert main(["pack", str(tmp_path / "x.dpza"), str(a)]) == 2
+    assert "NAME=FILE" in capsys.readouterr().err
+    assert not (tmp_path / "x.dpza").exists()
 
 
 def test_bench_subcommand(capsys):

@@ -75,6 +75,15 @@ def test_from_archive(tmp_path, field_file, tiny_3d, capsys):
     np.testing.assert_array_equal(load_field(back), tiny_3d)
 
 
+def test_failed_pack_leaves_no_output(tmp_path, field_file, capsys):
+    """Every input loads before the store is created."""
+    out = tmp_path / "s.dpzs"
+    assert main(["store", "pack", str(out), f"f={field_file}",
+                 f"g={tmp_path / 'nope.npy'}"]) == 2
+    assert "nope.npy" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_errors_are_one_line_exit_2(tmp_path, field_file, capsys):
     out = tmp_path / "s.dpzs"
     # auto without a budget
