@@ -40,7 +40,7 @@ import numpy as np
 from repro.api import dpz_compress, dpz_decompress
 from repro.baselines.dctz import dctz_compress, dctz_decompress
 from repro.baselines.mgard import mgard_compress, mgard_decompress
-from repro.baselines.sz import sz_compress, sz_decompress
+from repro.baselines.sz import SZCompressor, sz_compress, sz_decompress
 from repro.baselines.tucker import tucker_compress, tucker_decompress
 from repro.baselines.zfp import zfp_compress, zfp_decompress
 from repro.codecs.container import pack_sections, unpack_sections
@@ -105,10 +105,14 @@ _BUILTIN_CODECS = {
     "raw": (_raw_compress, _raw_decompress, "lossless"),
 }
 
+#: Built-in batch decoders (see ``CodecSpec.decompress_many``).
+_BUILTIN_BATCH = {"sz": SZCompressor.decompress_many}
+
 for _name, (_c, _d, _kind) in _BUILTIN_CODECS.items():
     # overwrite=True keeps re-registration idempotent if this module
     # body ever runs twice (importlib.reload in tests).
     register_codec(_name, _c, _d, kind=_kind, source="builtin",
+                   decompress_many=_BUILTIN_BATCH.get(_name),
                    overwrite=True)
 
 

@@ -31,6 +31,7 @@ from __future__ import annotations
 import struct
 import time
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -45,7 +46,7 @@ from repro.baselines.lorenzo import (
 from repro.baselines.regression import fit_blocks, predict_blocks
 from repro.baselines.szstream import (
     DEFAULT_ALPHABET,
-    decode_residuals,
+    decode_residuals_many,
     encode_residuals,
     pack_sections,
     unpack_sections,
@@ -232,70 +233,103 @@ class SZCompressor:
     @staticmethod
     def decompress(blob: bytes) -> np.ndarray:
         """Decompress a container produced by :meth:`compress`."""
+        return SZCompressor.decompress_many([blob])[0]
+
+    @staticmethod
+    def decompress_many(blobs: Sequence[bytes]) -> list[np.ndarray]:
+        """Decompress several containers, in order.
+
+        The Huffman payloads of all of them are decoded in one lockstep
+        pass (:func:`~repro.codecs.huffman.huffman_decode_many`), which
+        costs about what one payload's does: the point for a chunked
+        store, whose chunks are small.
+        """
         t_start = time.perf_counter()
-        counter_inc("sz.decompress.runs")
-        counter_inc("sz.decompress.bytes_in", len(blob))
-        meta, selectors, coeffs, payload = unpack_sections(
-            blob, _MAGIC, _VERSION
+        heads = [_parse(blob) for blob in blobs]
+        with span("sz.decode", bytes_in=sum(len(h.payload) for h in heads),
+                  blobs=len(heads)):
+            residuals = decode_residuals_many(
+                [(h.payload, h.count, h.alphabet) for h in heads])
+        with span("sz.reconstruct", blobs=len(heads)):
+            out = [_reconstruct(h, res) for h, res in zip(heads, residuals)]
+        share = (time.perf_counter() - t_start) / max(len(heads), 1)
+        for _ in heads:
+            observe("sz.decompress.seconds", share)
+        return out
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A parsed container: everything but the residuals."""
+
+    mode: str
+    dtype_tag: str
+    eps: float
+    block_size: int
+    shape: tuple[int, ...]
+    padded: tuple[int, ...]
+    alphabet: int
+    selectors: bytes
+    coeffs: bytes
+    payload: bytes
+
+    @property
+    def count(self) -> int:
+        """Number of residuals the payload holds."""
+        if self.mode == "lorenzo":
+            return int(np.prod(self.shape))
+        nb = int(np.prod([n // self.block_size for n in self.padded]))
+        return nb * self.block_size ** len(self.shape)
+
+
+def _parse(blob: bytes) -> _Header:
+    counter_inc("sz.decompress.runs")
+    counter_inc("sz.decompress.bytes_in", len(blob))
+    meta, selectors, coeffs, payload = unpack_sections(blob, _MAGIC, _VERSION)
+    mode_id, pos = decode_uvarint(meta, 0)
+    mode = MODES[mode_id]
+    dtype_tag = meta[pos : pos + 2].decode()
+    pos += 2
+    if dtype_tag not in _DTYPES:
+        raise FormatError(f"unknown dtype tag {dtype_tag!r}")
+    (eps,) = struct.unpack_from("<d", meta, pos)
+    pos += 8
+    block_size, pos = decode_uvarint(meta, pos)
+    ndim, pos = decode_uvarint(meta, pos)
+    dims = []
+    for _ in range(2 * ndim):
+        n, pos = decode_uvarint(meta, pos)
+        dims.append(n)
+    alphabet, pos = decode_uvarint(meta, pos)
+    return _Header(mode, dtype_tag, eps, block_size, tuple(dims[:ndim]),
+                   tuple(dims[ndim:]), alphabet, selectors, coeffs, payload)
+
+
+def _reconstruct(h: _Header, residuals: np.ndarray) -> np.ndarray:
+    if h.mode == "lorenzo":
+        lattice = lorenzo_inverse(residuals.reshape(h.shape))
+        return lattice_dequantize(lattice, h.eps).astype(_DTYPES[h.dtype_tag])
+    ndim = len(h.shape)
+    nb = int(np.prod([n // h.block_size for n in h.padded]))
+    bshape = (nb,) + (h.block_size,) * ndim
+    residuals = residuals.reshape(bshape)
+    choose_reg = np.unpackbits(
+        np.frombuffer(zlib_decompress(h.selectors), dtype=np.uint8)
+    )[:nb].astype(bool)
+    blocks = np.empty(bshape, dtype=np.float64)
+    n_reg = int(choose_reg.sum())
+    if n_reg:
+        coef = np.frombuffer(zlib_decompress(h.coeffs), dtype="<f4")
+        coef = coef.reshape(n_reg, 1 + ndim)
+        pred = predict_blocks(coef, bshape[1:])
+        blocks[choose_reg] = pred + lattice_dequantize(
+            residuals[choose_reg], h.eps
         )
-        mode_id, pos = decode_uvarint(meta, 0)
-        mode = MODES[mode_id]
-        dtype_tag = meta[pos : pos + 2].decode()
-        pos += 2
-        if dtype_tag not in _DTYPES:
-            raise FormatError(f"unknown dtype tag {dtype_tag!r}")
-        (eps,) = struct.unpack_from("<d", meta, pos)
-        pos += 8
-        block_size, pos = decode_uvarint(meta, pos)
-        ndim, pos = decode_uvarint(meta, pos)
-        shape = []
-        for _ in range(ndim):
-            n, pos = decode_uvarint(meta, pos)
-            shape.append(n)
-        padded_shape = []
-        for _ in range(ndim):
-            n, pos = decode_uvarint(meta, pos)
-            padded_shape.append(n)
-        alphabet, pos = decode_uvarint(meta, pos)
-        shape_t = tuple(shape)
-        padded_t = tuple(padded_shape)
-
-        if mode == "lorenzo":
-            with span("sz.decode", bytes_in=len(payload), mode=mode):
-                count = int(np.prod(shape_t))
-                residuals = decode_residuals(payload, count, alphabet)
-            with span("sz.reconstruct", mode=mode):
-                lattice = lorenzo_inverse(residuals.reshape(shape_t))
-                out = lattice_dequantize(lattice, eps)
-            observe("sz.decompress.seconds", time.perf_counter() - t_start)
-            return out.astype(_DTYPES[dtype_tag])
-
-        nb = int(np.prod([n // block_size for n in padded_t]))
-        bshape = (nb,) + (block_size,) * ndim
-        count = int(np.prod(bshape))
-        with span("sz.decode", bytes_in=len(payload), mode=mode):
-            residuals = decode_residuals(payload, count,
-                                         alphabet).reshape(bshape)
-        with span("sz.reconstruct", mode=mode):
-            choose_reg = np.unpackbits(
-                np.frombuffer(zlib_decompress(selectors), dtype=np.uint8)
-            )[:nb].astype(bool)
-            blocks = np.empty(bshape, dtype=np.float64)
-            n_reg = int(choose_reg.sum())
-            if n_reg:
-                coef = np.frombuffer(zlib_decompress(coeffs),
-                                     dtype="<f4")
-                coef = coef.reshape(n_reg, 1 + ndim)
-                pred = predict_blocks(coef, bshape[1:])
-                blocks[choose_reg] = pred + lattice_dequantize(
-                    residuals[choose_reg], eps
-                )
-            if n_reg < nb:
-                lor = _block_lorenzo_inverse(residuals[~choose_reg])
-                blocks[~choose_reg] = lattice_dequantize(lor, eps)
-            out = _merge_blocks(blocks, padded_t, shape_t)
-        observe("sz.decompress.seconds", time.perf_counter() - t_start)
-        return out.astype(_DTYPES[dtype_tag])
+    if n_reg < nb:
+        lor = _block_lorenzo_inverse(residuals[~choose_reg])
+        blocks[~choose_reg] = lattice_dequantize(lor, h.eps)
+    out = _merge_blocks(blocks, h.padded, h.shape)
+    return out.astype(_DTYPES[h.dtype_tag])
 
 
 def sz_compress(data: np.ndarray, eps: float | None = None, *,

@@ -18,9 +18,15 @@ opaque byte strings whose meaning is positional, defined by
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
-from repro.codecs.huffman import HuffmanTable, huffman_decode, huffman_encode
+from repro.codecs.huffman import (
+    HuffmanTable,
+    huffman_decode_many,
+    huffman_encode,
+)
 from repro.codecs.varint import (
     decode_uvarint,
     encode_uvarint,
@@ -34,6 +40,7 @@ from repro.errors import CodecError
 __all__ = [
     "encode_residuals",
     "decode_residuals",
+    "decode_residuals_many",
     "pack_sections",
     "unpack_sections",
     "DEFAULT_ALPHABET",
@@ -75,29 +82,42 @@ def encode_residuals(residuals: np.ndarray,
 def decode_residuals(data: bytes, count: int,
                      alphabet: int = DEFAULT_ALPHABET) -> np.ndarray:
     """Inverse of :func:`encode_residuals`; ``count`` is the residual count."""
-    used, pos = decode_uvarint(data, 0)
-    table, pos = HuffmanTable.from_bytes(data, pos)
-    if table.alphabet_size != used:
-        raise CodecError("Huffman table alphabet mismatch")
-    symbols, pos = huffman_decode(data, table, pos)
-    if symbols.size != count:
-        raise CodecError(
-            f"decoded {symbols.size} residual symbols, expected {count}"
-        )
-    side_len, pos = decode_uvarint(data, pos)
-    side = zlib_decompress(data[pos : pos + side_len])
-    n_esc, spos = decode_uvarint(side, 0)
-    escape = alphabet - 1
-    unsigned = symbols.astype(np.uint64)
-    if n_esc:
-        esc_vals = np.empty(n_esc, dtype=np.uint64)
-        for i in range(n_esc):
-            v, spos = decode_uvarint(side, spos)
-            esc_vals[i] = v
-        idx = np.flatnonzero(symbols == escape)
-        if idx.size != n_esc:
+    return decode_residuals_many([(data, count, alphabet)])[0]
+
+
+def decode_residuals_many(
+        items: Sequence[tuple[bytes, int, int]]) -> list[np.ndarray]:
+    """:func:`decode_residuals` of several ``(data, count, alphabet)``
+    streams, their Huffman payloads decoded in one lockstep pass."""
+    heads = []
+    for data, _, _ in items:
+        used, pos = decode_uvarint(data, 0)
+        table, pos = HuffmanTable.from_bytes(data, pos)
+        if table.alphabet_size != used:
+            raise CodecError("Huffman table alphabet mismatch")
+        heads.append((data, table, pos))
+    out = []
+    for (data, count, alphabet), (symbols, pos) in zip(
+            items, huffman_decode_many(heads)):
+        if symbols.size != count:
             raise CodecError(
-                f"escape count mismatch: {idx.size} markers, {n_esc} values"
+                f"decoded {symbols.size} residual symbols, expected {count}"
             )
-        unsigned[idx] = esc_vals
-    return zigzag_decode(unsigned)
+        side_len, pos = decode_uvarint(data, pos)
+        side = zlib_decompress(data[pos : pos + side_len])
+        n_esc, spos = decode_uvarint(side, 0)
+        escape = alphabet - 1
+        unsigned = symbols.astype(np.uint64)
+        if n_esc:
+            esc_vals = np.empty(n_esc, dtype=np.uint64)
+            for i in range(n_esc):
+                v, spos = decode_uvarint(side, spos)
+                esc_vals[i] = v
+            idx = np.flatnonzero(symbols == escape)
+            if idx.size != n_esc:
+                raise CodecError(
+                    f"escape count mismatch: {idx.size} markers, {n_esc} values"
+                )
+            unsigned[idx] = esc_vals
+        out.append(zigzag_decode(unsigned))
+    return out

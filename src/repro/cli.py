@@ -751,6 +751,7 @@ def _cmd_store(args) -> int:
         kw = _codec_kwargs(args)
         if args.codec == "auto":
             kw["error_budget"] = args.budget
+        Store.check_codec(args.codec, kw.get("error_budget"))
         store = Store.create(args.output, backend=args.backend)
         for name, data in fields:
             store.add(name, data, codec=args.codec, chunk_shape=chunk,

@@ -18,23 +18,37 @@ Design notes
 * **Vectorized encode.**  Symbols are mapped to (code, length) arrays
   and the bitstream is emitted with one NumPy pass (per-bit expansion
   driven by ``np.repeat``), no per-symbol Python loop.
-* **Chunked speculative decode.**  The bitstream is cut into
-  fixed-width chunks that are decoded speculatively in lockstep -- one
-  vectorized table gather per round across all chunks.  Huffman codes
-  self-synchronize, so each chunk's speculative chain converges onto
-  the true symbol chain within a few symbols; a sequential merge pass
-  stitches the chains together by binary-searching each chunk's entry
-  position.  Short streams fall back to the scalar cursor loop
-  (:func:`_decode_scalar`), which doubles as the differential-test
-  oracle.  Decode tables are built once per table instance and cached.
+* **Chunked speculative decode.**  The bitstream is cut into columns
+  that are decoded speculatively in lockstep -- one vectorized table
+  gather per round across all columns.  Huffman codes self-synchronize,
+  so each column's speculative chain converges onto the true symbol
+  chain within a few symbols; a merge pass stitches the chains
+  together.  A pass takes about as many rounds as a column holds
+  symbols, plus the slowest column's resynchronization, and each round
+  gathers over every column, so the width is sized from the stream
+  length ``n`` (:func:`_column_symbols`: ~sqrt(n)/2 symbols, clipped
+  to 32..256).  A 4,096-symbol SZ chunk stream takes 45-80 rounds
+  (about 290 at a fixed 256-symbol width), more when its code
+  resynchronizes slowly; a whole field keeps 256-symbol columns.  ``huffman.decode.rounds`` counts the rounds.  Short
+  streams fall back to the scalar cursor loop (:func:`_decode_scalar`),
+  which doubles as the differential-test oracle.
+* **Batched streams.**  :func:`huffman_decode_many` decodes many
+  streams -- every SZ chunk one store read touches -- in one lockstep
+  pass.  Columns never straddle a stream boundary; each carries its
+  stream's base in the stacked decode tables and its code length, so
+  the pass costs about what one stream's does, not one pass per
+  stream.  :func:`huffman_decode` is the one-item call.  Decode tables
+  are built once per table instance (one ``np.repeat`` over the
+  codewords in code order) and cached.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any, cast
+from typing import Any, Sequence, cast
 
 import numpy as np
 from numpy.typing import NDArray
@@ -44,7 +58,8 @@ from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import CodecError
 from repro.observability import counter_inc, observe, span
 
-__all__ = ["HuffmanTable", "huffman_encode", "huffman_decode", "MAX_CODE_LENGTH"]
+__all__ = ["HuffmanTable", "huffman_encode", "huffman_decode",
+           "huffman_decode_many", "MAX_CODE_LENGTH"]
 
 #: Hard cap on codeword length; the flat decode table has 2**len entries.
 MAX_CODE_LENGTH = 20
@@ -53,9 +68,32 @@ MAX_CODE_LENGTH = 20
 #: bookkeeping in the speculative decoder would dominate).
 _SCALAR_CUTOFF = 1024
 
-#: Target symbols per speculative chunk: sets the gather width
-#: (``~n/256`` chunks per round) against the per-round Python overhead.
-_CHUNK_SYMBOLS = 256
+#: Bounds on the speculative column width, in symbols.
+_MIN_COLUMN_SYMBOLS = 32
+_MAX_COLUMN_SYMBOLS = 256
+
+#: A lockstep pass stacks at most this many decode-table entries and
+#: decodes at most this many symbols (or one stream, if it alone holds
+#: more); a larger batch takes several passes.  Together they bound a
+#: pass's working memory at a few tens of MB.
+_MAX_STACKED_ENTRIES = 1 << 20
+_MAX_PASS_SYMBOLS = 1 << 20
+
+#: Most overshoot rounds a column takes looking for a synchronized
+#: chain before the merge pass finishes its stretch symbol by symbol.
+_MAX_OVERSHOOT = 1024
+
+
+def _column_symbols(n: int) -> int:
+    """Symbols per speculative column for an ``n``-symbol stream.
+
+    A lockstep pass takes about as many rounds as a column holds
+    symbols, and each round gathers over ``n / width`` columns, so
+    ``sqrt(n)/2`` balances per-round Python cost against per-round
+    numpy work: 32 for n = 4,096, 256 for n >= 2**18.
+    """
+    return min(max(math.isqrt(n) // 2, _MIN_COLUMN_SYMBOLS),
+               _MAX_COLUMN_SYMBOLS)
 
 
 def _huffman_code_lengths(counts: NDArray[np.int64]) -> NDArray[np.int64]:
@@ -299,18 +337,19 @@ class HuffmanTable:
     # -- decode table ----------------------------------------------------
 
     def decode_tables(
-            self) -> tuple[NDArray[np.int64], NDArray[np.int64], int]:
+            self) -> tuple[NDArray[np.int64], NDArray[np.uint8], int]:
         """Flat decode tables ``(symbol_at, length_at, L)``.
 
         Indexing either table with the next ``L`` stream bits (as an
-        integer) yields the decoded symbol and its true code length.
-        Built once per table instance and cached: the tables are
-        ``2**L`` entries, and multi-section decodes reuse them.
+        integer) yields the decoded symbol and its true code length
+        (0: no codeword starts so).  Built once per table instance and
+        cached: the tables are ``2**L`` entries, and multi-section
+        decodes reuse them.
         """
         cached = self.__dict__.get("_decode_cache")
         if cached is not None:
             return cast(
-                "tuple[NDArray[np.int64], NDArray[np.int64], int]", cached
+                "tuple[NDArray[np.int64], NDArray[np.uint8], int]", cached
             )
         L = self.max_length
         if L > 32:
@@ -319,16 +358,35 @@ class HuffmanTable:
             )
         if L == 0:
             tables = (np.zeros(1, dtype=np.int64),
-                      np.zeros(1, dtype=np.int64), 0)
+                      np.zeros(1, dtype=np.uint8), 0)
         else:
+            # Symbol s owns the 2**(L - len) windows that start with its
+            # codeword.  In codeword order those runs tile the table,
+            # with unused windows (an incomplete code) as gaps, so one
+            # np.repeat over (gap, symbol) pairs fills it up to the last
+            # codeword; the zero tail past it is never written, which
+            # keeps a sparse hostile code from touching 2**L entries.
+            used = np.flatnonzero(self.lengths)
+            lens = self.lengths[used]
+            first = self.codes[used].astype(np.int64) << (L - lens)
+            order = np.argsort(first, kind="stable")
+            used, lens, first = used[order], lens[order], first[order]
+            run = np.left_shift(1, L - lens)
+            gap = np.diff(first, prepend=0)
+            gap[1:] -= run[:-1]
+            span = int(first[-1] + run[-1])
+            if (gap < 0).any() or span > 1 << L:
+                raise CodecError("Huffman codewords overlap")
+            reps = np.empty(2 * used.size, dtype=np.int64)
+            reps[0::2] = gap
+            reps[1::2] = run
+            vals = np.zeros(reps.size, dtype=np.int64)
+            vals[1::2] = used
             sym_tab = np.zeros(1 << L, dtype=np.int64)
-            len_tab = np.zeros(1 << L, dtype=np.int64)
-            for s in np.flatnonzero(self.lengths):
-                ln = int(self.lengths[s])
-                base = int(self.codes[s]) << (L - ln)
-                width = 1 << (L - ln)
-                sym_tab[base : base + width] = s
-                len_tab[base : base + width] = ln
+            len_tab = np.zeros(1 << L, dtype=np.uint8)
+            sym_tab[:span] = np.repeat(vals, reps)
+            vals[1::2] = lens
+            len_tab[:span] = np.repeat(vals, reps)
             sym_tab.setflags(write=False)
             len_tab.setflags(write=False)
             tables = (sym_tab, len_tab, L)
@@ -372,7 +430,7 @@ def huffman_encode(symbols: NDArray[Any], table: HuffmanTable) -> bytes:
 
 
 def _decode_scalar(buf: NDArray[np.uint8], n: int,
-                   sym_tab: NDArray[np.int64], len_tab: NDArray[np.int64],
+                   sym_tab: NDArray[np.int64], len_tab: NDArray[np.uint8],
                    L: int) -> tuple[NDArray[np.int64], int]:
     """Reference decode: per-offset table gather + Python cursor loop.
 
@@ -380,7 +438,7 @@ def _decode_scalar(buf: NDArray[np.uint8], n: int,
     (symbol, length) a decode starting there would produce; following
     the chain of offsets is then a tight loop over plain Python lists.
     Used for short streams and as the differential-test oracle for
-    :func:`_decode_vectorized`.  Returns ``(symbols, end_cursor)``.
+    :func:`_decode_lockstep`.  Returns ``(symbols, end_cursor)``.
     """
     bits = np.unpackbits(buf)
     nb = bits.size
@@ -404,191 +462,379 @@ def _decode_scalar(buf: NDArray[np.uint8], n: int,
     return np.asarray(out, dtype=np.int64), cursor
 
 
-def _decode_vectorized(buf: NDArray[np.uint8], n: int,
-                       sym_tab: NDArray[np.int64],
-                       len_tab: NDArray[np.int64],
-                       L: int) -> tuple[NDArray[np.int64], int]:
-    """Chunked speculative decode (see module docstring).
+def _deepen(a: NDArray[Any]) -> NDArray[Any]:
+    """``a`` with twice the steps (the new half uninitialized)."""
+    return np.concatenate([a, np.empty_like(a)])
 
-    The stream is cut into ``S`` fixed-width bit chunks, each decoded
-    speculatively from its own start offset, all in lockstep (one
-    vectorized table gather per round over every still-active chunk).
-    A chunk records every bit position it visits; a chunk whose cursor
-    reaches its end records the exit position (the entry into the next
-    chunk), and a chunk that hits an invalid window records the poison
-    position instead.  The merge pass then walks the *true* chain:
-    inside each chunk it binary-searches the entry position among the
-    recorded positions and, on a hit, copies the agreeing tail
-    wholesale; on a miss (speculation not yet synchronized) it decodes
-    single symbols until the chains merge.  Returns
-    ``(symbols, end_cursor)``.
+
+def _ragged(cols: NDArray[np.int64], lo: NDArray[np.int64],
+            hi: NDArray[np.int64]) -> tuple[NDArray[np.int64], ...]:
+    """Index arrays ``(steps, cols)`` of steps ``lo[i]:hi[i]`` of every
+    column ``cols[i]``, concatenated in order."""
+    lens = hi - lo
+    steps = np.arange(int(lens.sum())) - np.repeat(
+        np.cumsum(lens) - lens - lo, lens)
+    return steps, np.repeat(cols, lens)
+
+
+@dataclass(frozen=True)
+class _Stream:
+    """One stream queued for lockstep decode."""
+
+    buf: NDArray[np.uint8]      # bitstream bytes, clipped to n * L bits
+    n: int                      # symbols to decode (<= bits in buf)
+    sym_tab: NDArray[np.int64]
+    len_tab: NDArray[np.uint8]
+    L: int
+
+
+def _decode_lockstep(streams: Sequence[_Stream]) -> list[Any]:
+    """Chunked speculative decode of several streams at once.
+
+    Each stream is cut into columns of about :func:`_column_symbols`
+    symbols' worth of bits, and every column of every stream is decoded
+    speculatively from its own start offset, all in lockstep: one
+    vectorized table gather per round over every still-active column.
+    Columns never straddle a stream; each carries its stream's base in
+    the stacked decode tables and its code length ``L``.  Per stream,
+    this is then the single-stream algorithm:
+
+    1. **Speculate.**  A column records every bit position it visits.
+       One whose cursor reaches its end records the exit position (the
+       entry into the next column); one that hits an invalid window
+       records the poison position instead.
+    2. **Overshoot.**  Speculative chains converge a few symbols
+       *after* a column boundary, so each column keeps decoding past
+       its end until it lands on a position some phase-1 chain
+       visited, normally the next column's.  When a column is on the
+       true chain, so is its overshoot, which bridges into the next.
+    3. **Merge.**  Each stream walks its true chain: where that joins a
+       phase-1 chain it copies the chain's tail, and those of every
+       following column the overshoots link up, in one gather;
+       elsewhere (a chain that never synchronized, or a corrupt
+       stream) it decodes single symbols.
+
+    Returns, per stream, ``(symbols, end_cursor_bits)`` or the
+    :class:`CodecError` the scalar oracle would raise.
     """
-    nbytes_buf = int(buf.size)
-    nb = nbytes_buf * 8
-    # win[i] = the word starting at byte offset i, big-endian (zero
-    # padded), so the L-bit window at bit t is
-    # ``(win[t>>3] << (t&7)) >> (word_bits - L)``.  A 32-bit word holds
-    # any L <= 25 window (25 = 32 - 7 shift slack), which covers the
-    # default MAX_CODE_LENGTH; wider codes fall back to 64-bit words.
-    if L <= 25:
-        wdt, word_bits, passes = np.uint32, 32, 4
+    k = len(streams)
+    # One byte buffer, every stream followed by 8 zero bytes: a window
+    # near a stream's end reads zeros, as the scalar oracle does, never
+    # the next stream's bits.
+    sizes = np.array([st.buf.size for st in streams], dtype=np.int64)
+    byte0 = np.zeros(k, dtype=np.int64)
+    np.cumsum(sizes[:-1] + 8, out=byte0[1:])
+    total = int(byte0[-1] + sizes[-1]) + 8
+    pad = np.zeros(8, dtype=np.uint8)
+    raw = np.concatenate([part for st in streams for part in (st.buf, pad)]
+                         + [pad])
+    # win[i] = the word starting at byte offset i, big-endian, so the
+    # L-bit window at bit t is ``(win[t>>3] << (t&7)) >> (word_bits-L)``.
+    # A 32-bit word holds any L <= 25 window (25 = 32 - 7 shift slack);
+    # wider codes, or more than 2**32 bits, use 64-bit words.  Bit
+    # positions and table indices share the word type (lengths are
+    # uint8), so the lockstep rounds never convert.
+    if max(st.L for st in streams) <= 25 and total * 8 < 1 << 32:
+        wdt: Any = np.uint32
+        word_bits = 32
     else:
-        wdt, word_bits, passes = np.uint64, 64, 8
-    padded = np.zeros(nbytes_buf + passes, dtype=np.uint8)
-    padded[:nbytes_buf] = buf
-    w64 = np.zeros(nbytes_buf + 1, dtype=wdt)
-    for j in range(passes):
-        w64 |= (padded[j : j + nbytes_buf + 1].astype(wdt)
-                << wdt(word_bits - 8 - 8 * j))
-    down = wdt(word_bits - L)
+        wdt = np.uint64
+        word_bits = 64
     wmask = (1 << word_bits) - 1
+    win = np.ndarray((total,), dtype=f">u{word_bits // 8}", buffer=raw,
+                     strides=(1,)).astype(wdt)
 
-    S = max(2, -(-n // _CHUNK_SYMBOLS))
-    W = max(L, -(-nb // S))
+    # Stacked decode tables: each distinct table once.
+    table_at: dict[int, int] = {}
+    sym_parts: list[NDArray[np.int64]] = []
+    len_parts: list[NDArray[np.uint8]] = []
+    tbase = np.empty(k, dtype=np.int64)
+    entries = 0
+    for i, st in enumerate(streams):
+        if id(st.sym_tab) not in table_at:
+            table_at[id(st.sym_tab)] = entries
+            sym_parts.append(st.sym_tab)
+            len_parts.append(st.len_tab)
+            entries += st.sym_tab.size
+        tbase[i] = table_at[id(st.sym_tab)]
+    sym_all = np.concatenate(sym_parts) if k > 1 else sym_parts[0]
+    len_all = np.concatenate(len_parts) if k > 1 else len_parts[0]
+
+    # Column geometry.  Per stream: S columns of W bits, sized so a
+    # column holds about _column_symbols(n) symbols.
+    n = np.array([st.n for st in streams], dtype=np.int64)
+    L = np.array([st.L for st in streams], dtype=np.int64)
+    per_col = np.array([_column_symbols(st.n) for st in streams],
+                       dtype=np.int64)
+    nb = sizes * 8
+    S = np.maximum(2, -(-n // per_col))
+    W = np.maximum(L, -(-nb // S))
     S = -(-nb // W)
-    starts = np.arange(S, dtype=np.int64) * W
-    ends = np.minimum(starts + W, nb)
+    c0 = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(S, out=c0[1:])
+    n_cols = int(c0[-1])
+    col_stream = np.repeat(np.arange(k), S)
+    bit0 = byte0 * 8
+    send = bit0 + nb
+    cs = bit0[col_stream] + (np.arange(n_cols) - c0[col_stream]) \
+        * W[col_stream]
+    cend = send[col_stream]
+    cstop = np.minimum(cs + W[col_stream], cend).astype(wdt)
+    cbase = tbase[col_stream].astype(wdt)
+    cdown = (word_bits - L[col_stream]).astype(wdt)
 
-    # Lockstep speculative rounds.  store[r, s] is the r-th position
-    # chunk s visited; columns are strictly increasing and contiguous
-    # in r because chunks are active from round 0 until they finish.
-    store = np.empty((_CHUNK_SYMBOLS + 64, S), dtype=np.int64)
-    cnt = np.zeros(S, dtype=np.int64)
-    exit_pos = np.full(S, -1, dtype=np.int64)
-    poison = np.full(S, -1, dtype=np.int64)
-    cur = starts.copy()
-    active = np.arange(S, dtype=np.int64)
+    # Phase 1: speculate.  pos_at[r, c] is the position column c
+    # visited at step r; the state arrays (act, pos, base, down, end)
+    # hold the still-active columns only.  step_at[p] is the step at which
+    # a phase-1 chain visited bit p (-1: none).  Only column c's chain
+    # visits column c's bits, so step_at both tells whether a position
+    # is on a chain and where.  A column holds at most W bits' worth of
+    # symbols, which bounds the steps.
+    step_at = np.full(total * 8, -1, dtype=np.int16
+                      if int(W.max()) < 1 << 15 else np.int32)
+    pos_at = np.empty((int(per_col.max()) + 64, n_cols), dtype=wdt)
+    cnt = np.zeros(n_cols, dtype=np.int64)
+    exit_pos = np.full(n_cols, -1, dtype=np.int64)
+    poison = np.full(n_cols, -1, dtype=np.int64)
+    act = np.arange(n_cols, dtype=np.int64)
+    pos, base, down, end = cs.astype(wdt), cbase, cdown, cstop
     r = 0
-    while active.size:
-        if r == store.shape[0]:
-            store = np.concatenate([store, np.empty_like(store)], axis=0)
-        pos = cur[active]
-        w = (w64[pos >> 3] << (pos & 7).astype(wdt)) >> down
-        ln = len_tab[w]
-        ok = ln != 0
-        if not ok.all():
-            poison[active[~ok]] = pos[~ok]
-            active = active[ok]
-            if active.size == 0:
+    while act.size:
+        if r == pos_at.shape[0]:
+            pos_at = _deepen(pos_at)
+        ln = len_all[base + ((win[pos >> 3] << (pos & 7)) >> down)]
+        if np.count_nonzero(ln) < ln.size:  # an invalid window
+            ok = ln != 0
+            poison[act[~ok]] = pos[~ok]
+            cnt[act[~ok]] = r
+            act, pos, ln, base, down, end = (
+                act[ok], pos[ok], ln[ok], base[ok], down[ok], end[ok])
+            if not act.size:
                 break
-            pos = pos[ok]
-            ln = ln[ok]
-        store[r, active] = pos
-        cnt[active] += 1
-        nxt = pos + ln
-        cur[active] = nxt
-        done = nxt >= ends[active]
-        if done.any():
-            exit_pos[active[done]] = nxt[done]
-            active = active[~done]
-        r += 1
-
-    # Phase 2: overshoot.  Speculative chains converge a few symbols
-    # *after* a chunk boundary, so a chunk's true entry is rarely on
-    # the next chunk's recorded chain.  Each chunk therefore keeps
-    # decoding past its end (again in lockstep) until it lands on a
-    # position some phase-1 chain visited -- normally the next chunk's
-    # chain, a handful of rounds.  The overshoot positions themselves
-    # are recorded: when chunk s is on the true chain, so is its
-    # overshoot, which bridges the boundary into chunk s+1.
-    rows = np.arange(store.shape[0], dtype=np.int64)
-    flat = store.T[rows[None, :] < cnt[:, None]]
-    offsets = np.concatenate(([0], np.cumsum(cnt)))
-    visited = np.zeros(nb, dtype=bool)
-    visited[flat] = True
-    sync_pos = np.full(S, -1, dtype=np.int64)
-    store2 = np.empty((64, S), dtype=np.int64)
-    cnt2 = np.zeros(S, dtype=np.int64)
-    cur = exit_pos.copy()
-    active = np.flatnonzero((exit_pos >= 0) & (exit_pos < nb))
-    r = 0
-    while active.size and r < 1024:
-        pos = cur[active]
-        hit = visited[pos]
-        if hit.any():
-            sync_pos[active[hit]] = pos[hit]
-            active = active[~hit]
-            if active.size == 0:
-                break
-            pos = pos[~hit]
-        if r == store2.shape[0]:
-            store2 = np.concatenate([store2, np.empty_like(store2)], axis=0)
-        w = (w64[pos >> 3] << (pos & 7).astype(wdt)) >> down
-        ln = len_tab[w]
-        ok = ln != 0
-        if not ok.all():
-            active = active[ok]
-            if active.size == 0:
-                break
-            pos = pos[ok]
-            ln = ln[ok]
-        store2[r, active] = pos
-        cnt2[active] += 1
-        nxt = pos + ln
-        cur[active] = nxt
-        over = nxt >= nb
-        if over.any():
-            active = active[~over]
-        r += 1
-
-    # Merge pass along the true chain.  From an on-chain position,
-    # trust extends over every consecutive chunk whose predecessor
-    # overshot straight onto it; those chunks' chain tails and
-    # overshoots are concatenated with one boolean-mask gather.
-    rows2 = np.arange(store2.shape[0], dtype=np.int64)
-    chunk_of_sync = np.where(sync_pos >= 0, sync_pos // W, -1)
-    out_pos = np.empty(n, dtype=np.int64)
-    filled = 0
-    t = 0
-    while filled < n:
-        if t >= nb:
-            raise CodecError("Huffman bitstream underrun")
-        s = t // W
-        col = store[: cnt[s], s]
-        jj = int(np.searchsorted(col, t))
-        if jj >= col.size or col[jj] != t:
-            # Off-chain (no phase-1 chain visited t): decode one symbol
-            # the slow way and retry the merge.
-            w = ((int(w64[t >> 3]) << (t & 7)) & wmask) >> (word_bits - L)
-            ln = int(len_tab[w])
-            if ln == 0:
-                raise CodecError("invalid codeword in Huffman bitstream")
-            out_pos[filled] = t
-            filled += 1
-            t += ln
-            continue
-        g = np.empty(S - s, dtype=bool)
-        g[0] = True
-        g[1:] = chunk_of_sync[s:-1] == np.arange(s + 1, S)
-        trusted = int(np.logical_and.accumulate(g).sum())
-        q = np.empty(trusted, dtype=np.int64)
-        q[0] = t
-        q[1:] = sync_pos[s : s + trusted - 1]
-        j = np.searchsorted(flat, q) - offsets[s : s + trusted]
-        m1 = (rows[None, :] >= j[:, None]) \
-            & (rows[None, :] < cnt[s : s + trusted, None])
-        m2 = rows2[None, :] < cnt2[s : s + trusted, None]
-        big = np.concatenate([store.T[s : s + trusted],
-                              store2.T[s : s + trusted]], axis=1)
-        chain = big[np.concatenate([m1, m2], axis=1)]
-        take = min(chain.size, n - filled)
-        out_pos[filled : filled + take] = chain[:take]
-        filled += take
-        if filled == n:
-            break
-        last = s + trusted - 1
-        if sync_pos[last] >= 0:
-            t = int(sync_pos[last])       # on some phase-1 chain
-        elif exit_pos[last] < 0:
-            t = int(poison[last])         # chain died inside the chunk
+        if act.size == n_cols:
+            pos_at[r] = pos
         else:
-            t = int(cur[last])            # overshoot cursor (or stream end)
+            pos_at[r, act] = pos
+        step_at[pos] = r
+        pos = pos + ln
+        r += 1
+        done = pos >= end
+        if np.count_nonzero(done):
+            exit_pos[act[done]] = pos[done]
+            cnt[act[done]] = r
+            keep = ~done
+            act, pos, base, down, end = (
+                act[keep], pos[keep], base[keep], down[keep], end[keep])
+    rounds = r
 
-    last = int(out_pos[n - 1])
-    w = ((int(w64[last >> 3]) << (last & 7)) & wmask) >> (word_bits - L)
-    cursor = last + int(len_tab[w])
-    wv = (w64[out_pos >> 3] << (out_pos & 7).astype(wdt)) >> down
-    return sym_tab[wv], cursor
+    # Phase 2: overshoot until a phase-1 position is hit.  A column's
+    # overshoot steps follow its phase-1 ones; ``cur`` ends as where
+    # its chain stopped if it hit none.
+    sync = np.full(n_cols, -1, dtype=np.int64)
+    cur = exit_pos.copy()
+    cnt2 = np.zeros(n_cols, dtype=np.int64)
+    act = np.flatnonzero((exit_pos >= 0) & (exit_pos < cend))
+    pos, base, down, end, step = (
+        exit_pos[act].astype(wdt), cbase[act], cdown[act],
+        cend[act].astype(wdt), cnt[act])
+    step_max = int(step.max()) if act.size else 0
+    r = 0
+    while act.size and r < _MAX_OVERSHOOT:
+        hit = step_at[pos] >= 0
+        if np.count_nonzero(hit):
+            sync[act[hit]] = pos[hit]
+            cnt2[act[hit]] = r
+            keep = ~hit
+            act, pos, base, down, end, step = (
+                act[keep], pos[keep], base[keep], down[keep], end[keep],
+                step[keep])
+            if not act.size:
+                break
+        if step_max + r == pos_at.shape[0]:
+            pos_at = _deepen(pos_at)
+        ln = len_all[base + ((win[pos >> 3] << (pos & 7)) >> down)]
+        if np.count_nonzero(ln) < ln.size:  # an invalid window
+            ok = ln != 0
+            cur[act[~ok]] = pos[~ok]
+            cnt2[act[~ok]] = r
+            act, pos, ln, base, down, end, step = (
+                act[ok], pos[ok], ln[ok], base[ok], down[ok], end[ok],
+                step[ok])
+            if not act.size:
+                break
+        pos_at[step + r, act] = pos
+        pos = pos + ln
+        r += 1
+        over = pos >= end
+        if np.count_nonzero(over):
+            cur[act[over]] = pos[over]
+            cnt2[act[over]] = r
+            keep = ~over
+            act, pos, base, down, end, step = (
+                act[keep], pos[keep], base[keep], down[keep], end[keep],
+                step[keep])
+    cur[act] = pos                     # overshoot cap reached
+    cnt2[act] = r
+    rounds += r
+    counter_inc("huffman.decode.rounds", rounds)
+
+    # Phase 3: merge.  good[c]: column c is entered on the chain its
+    # predecessor's overshoot synchronized onto (a stream's first
+    # column is entered at the stream start), at step entry[c].  From
+    # there the true chain runs through the column's steps to upto[c].
+    upto = cnt + cnt2
+    sync_col = np.where(sync >= 0,
+                        np.searchsorted(cs, sync, side="right") - 1, -1)
+    good = np.ones(n_cols, dtype=bool)
+    good[1:] = sync_col[:-1] == np.arange(1, n_cols)
+    firsts = c0[:-1]
+    good[firsts] = True
+    entry = np.zeros(n_cols, dtype=np.int64)
+    entry[1:] = step_at[sync[:-1]]
+    entry[firsts] = 0
+    out: list[Any] = [None] * k
+    for i in range(k):
+        # Walk the true chain from the stream start.
+        a, b = int(c0[i]), int(c0[i + 1])
+        stop, need = int(send[i]), int(n[i])
+        tb, shift = int(tbase[i]), word_bits - int(L[i])
+        got = np.empty(need, dtype=np.int64)
+        filled = 0
+        t = int(bit0[i])
+        try:
+            while filled < need:
+                if t >= stop:
+                    raise CodecError("Huffman bitstream underrun")
+                j0 = int(step_at[t])
+                if j0 < 0:
+                    # Off every phase-1 chain: decode one symbol the
+                    # slow way and retry the merge.
+                    w = ((int(win[t >> 3]) << (t & 7)) & wmask) >> shift
+                    ln1 = int(len_all[tb + w])
+                    if ln1 == 0:
+                        raise CodecError(
+                            "invalid codeword in Huffman bitstream")
+                    got[filled] = t
+                    filled += 1
+                    t += ln1
+                    continue
+                # On column c's chain at step j0.  Trust extends over
+                # every following column its predecessor entered.
+                c = int(np.searchsorted(cs[a:b], t, side="right")) - 1 + a
+                g = good[c:b].copy()
+                g[0] = True
+                e = c + int(np.logical_and.accumulate(g).sum())
+                lo = entry[c:e].copy()
+                lo[0] = j0
+                chain = pos_at[_ragged(np.arange(c, e), lo, upto[c:e])]
+                take = min(chain.size, need - filled)
+                got[filled : filled + take] = chain[:take]
+                filled += take
+                if filled == need:
+                    break
+                if sync[e - 1] >= 0:
+                    t = int(sync[e - 1])      # on some phase-1 chain
+                elif exit_pos[e - 1] < 0:
+                    t = int(poison[e - 1])    # chain died in the column
+                else:
+                    t = int(cur[e - 1])       # overshoot cursor or end
+        except CodecError as exc:
+            out[i] = exc
+            continue
+        at = got.astype(wdt)
+        idx = cbase[a] + ((win[at >> 3] << (at & 7)) >> cdown[a])
+        out[i] = (sym_all[idx],
+                  int(got[-1]) + int(len_all[idx[-1]]) - int(bit0[i]))
+    return out
+
+
+def huffman_decode_many(
+        items: Sequence[tuple[bytes, HuffmanTable, int]]
+) -> list[tuple[NDArray[np.int64], int]]:
+    """Decode several ``huffman_encode`` streams in one lockstep pass.
+
+    ``items`` are ``(data, table, offset)`` triples, each decoded as
+    :func:`huffman_decode` would; returns ``(symbols, next_offset)``
+    per item, in order.  Streams shorter than :data:`_SCALAR_CUTOFF`
+    symbols take the scalar loop; all others share one lockstep pass
+    (more than one past :data:`_MAX_STACKED_ENTRIES` table entries or
+    :data:`_MAX_PASS_SYMBOLS` symbols).  A corrupt stream raises the
+    :class:`CodecError` decoding it alone raises -- the first such
+    stream's, in item order.
+    """
+    heads = [decode_uvarint(data, offset) for data, _, offset in items]
+    results: list[Any] = [(np.zeros(0, dtype=np.int64), pos)
+                          for _, pos in heads]
+    todo = [i for i, (n, _) in enumerate(heads) if n]
+    if not todo:
+        return results
+    for i in todo:
+        counter_inc("huffman.decode.symbols", heads[i][0])
+        observe("huffman.decode.symbols_per_call", heads[i][0],
+                lo=1.0, hi=1e9)
+    with span("huffman.decode", n_symbols=sum(heads[i][0] for i in todo),
+              streams=len(todo)) as sp:
+        streams: dict[int, _Stream] = {}
+        for i in todo:
+            data, table, _ = items[i]
+            n, pos = heads[i]
+            sym_tab, len_tab, L = table.decode_tables()
+            if L == 0:
+                raise CodecError("cannot decode with an empty Huffman table")
+            buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
+            if buf.size < 1:
+                raise CodecError("empty Huffman bitstream")
+            # n symbols consume at most n*L bits; clip multi-section
+            # buffers so decode work can't spill into later sections.
+            buf = buf[: (n * L + 7) // 8]
+            # Every symbol takes at least one bit, so a stream that
+            # claims more symbols than bits fails by then anyway:
+            # decode at most that many, keeping the work bounded.
+            streams[i] = _Stream(buf, min(n, buf.size * 8), sym_tab,
+                                 len_tab, L)
+        decoded: dict[int, Any] = {}
+        batch: list[int] = []
+        tables: set[int] = set()
+        entries = in_pass = 0
+        for i, st in streams.items():
+            if st.n < _SCALAR_CUTOFF:
+                try:
+                    decoded[i] = _decode_scalar(st.buf, st.n, st.sym_tab,
+                                                st.len_tab, st.L)
+                except CodecError as exc:
+                    decoded[i] = exc
+                continue
+            new_table = id(st.sym_tab) not in tables
+            if batch and (
+                    in_pass + st.n > _MAX_PASS_SYMBOLS
+                    or (new_table and entries + st.sym_tab.size
+                        > _MAX_STACKED_ENTRIES)):
+                decoded.update(zip(batch, _decode_lockstep(
+                    [streams[j] for j in batch])))
+                batch, tables, entries, in_pass = [], set(), 0, 0
+                new_table = True
+            if new_table:
+                tables.add(id(st.sym_tab))
+                entries += st.sym_tab.size
+            in_pass += st.n
+            batch.append(i)
+        if batch:
+            decoded.update(zip(batch, _decode_lockstep(
+                [streams[j] for j in batch])))
+        bytes_in = bytes_out = 0
+        for i in todo:
+            got = decoded[i]
+            if isinstance(got, CodecError):
+                raise got
+            if streams[i].n < heads[i][0]:
+                raise CodecError("Huffman bitstream underrun")
+            symbols, cursor = got
+            nbytes = (cursor + 7) // 8
+            results[i] = (symbols, heads[i][1] + nbytes)
+            bytes_in += nbytes
+            bytes_out += int(symbols.nbytes)
+        sp.add(bytes_in=bytes_in, bytes_out=bytes_out)
+    return results
 
 
 def huffman_decode(data: bytes, table: HuffmanTable,
@@ -596,29 +842,7 @@ def huffman_decode(data: bytes, table: HuffmanTable,
     """Decode ``huffman_encode`` output; returns ``(symbols, next_offset)``.
 
     ``next_offset`` is the byte offset just past the (byte-aligned)
-    bitstream, so multiple sections can be concatenated.
+    bitstream, so multiple sections can be concatenated.  The one-item
+    case of :func:`huffman_decode_many`.
     """
-    n, pos = decode_uvarint(data, offset)
-    if n == 0:
-        return np.zeros(0, dtype=np.int64), pos
-    counter_inc("huffman.decode.symbols", n)
-    observe("huffman.decode.symbols_per_call", n, lo=1.0, hi=1e9)
-    with span("huffman.decode", n_symbols=n) as sp:
-        sym_tab, len_tab, L = table.decode_tables()
-        if L == 0:
-            raise CodecError("cannot decode with an empty Huffman table")
-        buf = np.frombuffer(data, dtype=np.uint8, offset=pos)
-        if buf.size < 1:
-            raise CodecError("empty Huffman bitstream")
-        # n symbols consume at most n*L bits; clip multi-section buffers
-        # so decode work can't spill into later sections.
-        max_bytes = (n * L + 7) // 8
-        if buf.size > max_bytes:
-            buf = buf[:max_bytes]
-        if n < _SCALAR_CUTOFF:
-            out, cursor = _decode_scalar(buf, n, sym_tab, len_tab, L)
-        else:
-            out, cursor = _decode_vectorized(buf, n, sym_tab, len_tab, L)
-        nbytes = (cursor + 7) // 8
-        sp.add(bytes_in=nbytes, bytes_out=int(out.nbytes))
-    return out, pos + nbytes
+    return huffman_decode_many([(data, table, offset)])[0]

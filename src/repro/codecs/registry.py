@@ -18,6 +18,13 @@ imports ``pkg.module`` (whose import side effect is expected to call
 no-setuptools equivalent of a ``zarr.codecs`` entry point: shipping a
 codec in a separate module requires zero changes here.
 
+Batch decode: :meth:`CodecSpec.decompress_many` decodes several
+payloads of one codec in one call.  A codec registered with a
+``decompress_many=`` callable (SZ, whose per-chunk Huffman decode
+batches into one lockstep pass) uses it; any other maps
+``decompress`` over the payloads, so dpz, zfp and user codecs need
+nothing new.  The chunked store calls it once per codec per read.
+
 Failure contract: duplicate registration and unknown-id lookup both
 raise :class:`~repro.errors.ConfigError` naming the known ids --
 never a bare ``KeyError``.
@@ -27,7 +34,7 @@ from __future__ import annotations
 
 import importlib
 from dataclasses import dataclass, field
-from typing import Any, Callable, Protocol
+from typing import Any, Callable, Protocol, Sequence
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from repro.errors import ConfigError
 __all__ = [
     "CompressFn",
     "DecompressFn",
+    "DecompressManyFn",
     "CodecSpec",
     "register_codec",
     "unregister_codec",
@@ -55,6 +63,10 @@ class CompressFn(Protocol):
 
 DecompressFn = Callable[[bytes], "np.ndarray[Any, np.dtype[Any]]"]
 
+#: ``decompress_many(payloads) -> arrays``, one array per payload.
+DecompressManyFn = Callable[[Sequence[bytes]],
+                            "list[np.ndarray[Any, np.dtype[Any]]]"]
+
 #: Registration kinds, used for documentation / filtering only.
 KINDS = ("lossy", "lossless", "filter")
 
@@ -69,11 +81,20 @@ class CodecSpec:
     kind: str = "lossy"
     #: Where the registration came from ("builtin" or a module path).
     source: str = "user"
+    #: Batch decoder; ``None`` maps :attr:`decompress` over the payloads.
+    batch: DecompressManyFn | None = None
 
     pair: tuple[CompressFn, DecompressFn] = field(init=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "pair", (self.compress, self.decompress))
+
+    def decompress_many(self, payloads: Sequence[bytes]
+                        ) -> "list[np.ndarray[Any, np.dtype[Any]]]":
+        """Decode several payloads of this codec; one array each."""
+        if self.batch is not None:
+            return self.batch(payloads)
+        return [self.decompress(p) for p in payloads]
 
 
 # Reentrant: _ensure_builtins holds it while importing modules whose
@@ -105,10 +126,13 @@ def _ensure_builtins() -> None:
 def register_codec(name: str, compress: CompressFn,
                    decompress: DecompressFn, *, kind: str = "lossy",
                    source: str = "user",
+                   decompress_many: DecompressManyFn | None = None,
                    overwrite: bool = False) -> CodecSpec:
     """Register ``(compress, decompress)`` under ``name``.
 
-    ``kind`` is ``"lossy"``, ``"lossless"`` or ``"filter"``.  A second
+    ``kind`` is ``"lossy"``, ``"lossless"`` or ``"filter"``.
+    ``decompress_many``, if given, must equal ``decompress`` mapped
+    over its payloads, only faster.  A second
     registration of the same id raises
     :class:`~repro.errors.ConfigError` unless ``overwrite=True`` (the
     escape hatch for tests and deliberate codec shadowing).
@@ -122,7 +146,8 @@ def register_codec(name: str, compress: CompressFn,
             f"invalid codec kind {kind!r} for {name!r}; "
             f"use one of {KINDS}")
     spec = CodecSpec(name=name, compress=compress,
-                     decompress=decompress, kind=kind, source=source)
+                     decompress=decompress, kind=kind, source=source,
+                     batch=decompress_many)
     with _LOCK:
         if name in _REGISTRY and not overwrite:
             raise ConfigError(

@@ -46,7 +46,7 @@ _SERVE_ENTRY_METHODS = frozenset({"handle"})
 #: Module-level one-call wrappers (``sz_compress``) count as entry
 #: points too, but delegating into a traced method satisfies the rule.
 _ENTRY_FN = re.compile(r"^[a-z0-9]+_(compress|decompress)$")
-_ENTRY_METHODS = frozenset({"compress", "decompress",
+_ENTRY_METHODS = frozenset({"compress", "decompress", "decompress_many",
                             "compress_with_stats"})
 
 

@@ -28,6 +28,7 @@ COUNTERS: frozenset[str] = frozenset({
     "huffman.encode.symbols",
     "huffman.encode.bytes_out",
     "huffman.decode.symbols",
+    "huffman.decode.rounds",
     "parallel.maps",
     "parallel.chunks",
     "parallel.map.bypassed",

@@ -53,7 +53,13 @@ from typing import Any, Iterable, Union
 import numpy as np
 
 from repro.archive import FieldArchive
-from repro.codecs.registry import codec_functions, codec_ids, have_codec
+from repro.codecs.registry import (
+    CodecSpec,
+    codec_functions,
+    codec_ids,
+    get_codec,
+    have_codec,
+)
 from repro.errors import (
     CodecError,
     ConfigError,
@@ -103,6 +109,12 @@ _FROM_ARCHIVE_KW: dict[str, dict[str, Any]] = {
     "mgard": {"rel_eps": 1e-4},
     "zfp": {"rate": 8.0},
 }
+
+
+#: What a decoder raises on a corrupt payload; the store reports each
+#: as a FormatError naming the chunk.
+_CORRUPT = (FormatError, struct.error, IndexError, ValueError, KeyError,
+            OverflowError, CodecError)
 
 
 # Every live Store handle, for the telemetry /healthz endpoint.  A
@@ -242,19 +254,7 @@ class Store:
             raise ConfigError(
                 f"field {name!r} already exists in store "
                 f"{self.path!r}; store fields are immutable")
-        if codec != "auto" and not have_codec(codec):
-            raise ConfigError(
-                f"unknown codec {codec!r}; use 'auto' or one of "
-                f"{codec_ids()}")
-        if codec == "auto":
-            if error_budget is None or not float(error_budget) > 0.0:
-                raise ConfigError(
-                    "codec='auto' requires a positive error_budget")
-        elif error_budget is not None:
-            raise ConfigError(
-                "error_budget is only meaningful with codec='auto'; "
-                f"pass the bound to codec {codec!r} via its own "
-                f"keyword (eps=, tolerance=, ...)")
+        self.check_codec(codec, error_budget)
         arr, dtype_tag = _canonical(data)
         if arr.size == 0:
             raise ConfigError(
@@ -345,6 +345,27 @@ class Store:
         # this handle must never serve stale decodes).
         self._cache.invalidate_field(name)
         counter_inc("store.fields.packed")
+
+    @staticmethod
+    def check_codec(codec: str, error_budget: float | None = None) -> None:
+        """Raise :class:`~repro.errors.ConfigError` unless :meth:`add`
+        accepts ``codec`` with ``error_budget``.
+
+        Lets a caller refuse bad options before it creates a store.
+        """
+        if codec != "auto" and not have_codec(codec):
+            raise ConfigError(
+                f"unknown codec {codec!r}; use 'auto' or one of "
+                f"{codec_ids()}")
+        if codec == "auto":
+            if error_budget is None or not float(error_budget) > 0.0:
+                raise ConfigError(
+                    "codec='auto' requires a positive error_budget")
+        elif error_budget is not None:
+            raise ConfigError(
+                "error_budget is only meaningful with codec='auto'; "
+                f"pass the bound to codec {codec!r} via its own "
+                f"keyword (eps=, tolerance=, ...)")
 
     def _append(self, meta: FieldMeta,
                 payloads: Iterable[tuple[str, bytes]]) -> None:
@@ -463,26 +484,20 @@ class Store:
         coords = list(chunking.overlapping_chunks(
             meta.shape, meta.chunk_shape, bounds))
         t0 = time.perf_counter()
-        bytes_read = 0
-        bytes_decoded = 0
         with span("store.region", field=name, n_chunks=len(coords)):
+            chunks, bytes_read, bytes_decoded = self._load_chunks(
+                meta, grid, coords)
             if len(coords) == 1:
                 # Single-chunk fast path: no zeroed output buffer, no
                 # paste -- copy the slice straight out of the decoded
                 # (possibly cached) chunk.
-                chunk, br, bd = self._load_chunk(meta, grid, coords[0])
-                bytes_read += br
-                bytes_decoded += bd
                 _, chunk_sel = self._intersect(bounds, meta, coords[0],
-                                               chunk.shape)
-                out = np.array(chunk[chunk_sel], dtype=dtype)
+                                               chunks[0].shape)
+                out = np.array(chunks[0][chunk_sel], dtype=dtype)
                 counter_inc("store.paste.fastpath")
             else:
                 out = np.zeros(out_shape, dtype=dtype)
-                for coord in coords:
-                    chunk, br, bd = self._load_chunk(meta, grid, coord)
-                    bytes_read += br
-                    bytes_decoded += bd
+                for coord, chunk in zip(coords, chunks):
                     self._paste(out, bounds, meta, coord, chunk)
         counter_inc("store.region.reads")
         counter_inc("store.bytes.read", bytes_read)
@@ -494,22 +509,71 @@ class Store:
         keep = tuple(0 if c else slice(None) for c in collapse)
         return out[keep]
 
-    def _load_chunk(self, meta: FieldMeta, grid: tuple[int, ...],
-                    coord: tuple[int, ...]) -> tuple[Any, int, int]:
-        """One decoded chunk through the shared cache.
+    def _load_chunks(self, meta: FieldMeta, grid: tuple[int, ...],
+                     coords: list[tuple[int, ...]]
+                     ) -> tuple[list[Any], int, int]:
+        """The decoded chunks at ``coords``, through the shared cache.
 
-        Returns ``(chunk, bytes_read, bytes_decoded)``; both byte
-        counts are 0 on a cache hit -- a hit costs neither a backend
-        read nor a decode, which is exactly what the amplification
-        gauge should reflect.  The returned array is read-only when it
-        came from (or went into) the cache.
+        Cache misses are read first, then decoded with one
+        ``decompress_many`` call per codec, so the Huffman streams of
+        every SZ chunk a read touches decode in one lockstep pass.
+        Returns ``(chunks, bytes_read, bytes_decoded)``; a cache hit
+        costs neither a backend read nor a decode, which is exactly
+        what the amplification gauge should reflect.  Chunks that came
+        from (or went into) the cache are read-only.
         """
-        index = chunking.chunk_index(grid, coord)
-        cache_key = (meta.name, index)
-        cached = self._cache.get(cache_key)
-        if cached is not None:
-            return cached, 0, 0
-        ref = meta.chunks[index]
+        chunks: list[Any] = [None] * len(coords)
+        misses: dict[str, list[tuple[int, int, bytes]]] = {}
+        for slot, coord in enumerate(coords):
+            index = chunking.chunk_index(grid, coord)
+            cached = self._cache.get((meta.name, index))
+            if cached is not None:
+                chunks[slot] = cached
+                continue
+            ref = meta.chunks[index]
+            payload = self._read_chunk(meta, index, coord)
+            if len(payload) != ref.length:
+                raise FormatError(
+                    f"field {meta.name!r} chunk {coord}: payload "
+                    f"truncated ({len(payload)} of {ref.length} bytes)")
+            if not have_codec(ref.codec):
+                raise FormatError(
+                    f"field {meta.name!r} chunk {coord} uses unknown "
+                    f"codec {ref.codec!r}")
+            misses.setdefault(ref.codec, []).append((slot, index, payload))
+        bytes_read = bytes_decoded = 0
+        for codec, group in misses.items():
+            spec = get_codec(codec)
+            payloads = [payload for _, _, payload in group]
+            try:
+                decoded = spec.decompress_many(payloads)
+                if len(decoded) != len(payloads):
+                    raise FormatError(
+                        f"codec {codec!r} decoded {len(decoded)} arrays "
+                        f"from {len(payloads)} payloads")
+            except _CORRUPT:
+                # Decode one at a time, so the error names the chunk.
+                decoded = [self._decode_one(meta, coords[slot], spec,
+                                            payload)
+                           for slot, _, payload in group]
+            for (slot, index, payload), chunk in zip(group, decoded):
+                coord = coords[slot]
+                expected = tuple(
+                    sl.stop - sl.start for sl in chunking.chunk_slices(
+                        meta.shape, meta.chunk_shape, coord))
+                if tuple(chunk.shape) != expected:
+                    raise FormatError(
+                        f"field {meta.name!r} chunk {coord} decoded to "
+                        f"shape {tuple(chunk.shape)}, manifest geometry "
+                        f"expects {expected}")
+                chunks[slot] = self._cache.put((meta.name, index), chunk)
+                counter_inc("store.chunks.decoded")
+                bytes_read += len(payload)
+                bytes_decoded += int(chunk.nbytes)
+        return chunks, bytes_read, bytes_decoded
+
+    def _read_chunk(self, meta: FieldMeta, index: int,
+                    coord: tuple[int, ...]) -> bytes:
         key = chunk_key(meta.name, index)
         try:
             value = self._backend[key]
@@ -518,42 +582,20 @@ class Store:
                 f"field {meta.name!r} chunk {coord}: backend has "
                 f"no key {key!r} ({exc})") from exc
         counter_inc("store.backend.reads")
-        payload = (unpack_kv_value(value) if self._backend.framed
-                   else value)
-        chunk = self._decode_chunk(meta, ref, payload, coord)
-        chunk = self._cache.put(cache_key, chunk)
-        counter_inc("store.chunks.decoded")
-        return chunk, len(payload), int(chunk.nbytes)
+        return (unpack_kv_value(value) if self._backend.framed
+                else value)
 
-    def _decode_chunk(self, meta: FieldMeta, ref: ChunkRef,
-                      payload: bytes, coord: tuple[int, ...]) -> Any:
-        if len(payload) != ref.length:
-            raise FormatError(
-                f"field {meta.name!r} chunk {coord}: payload truncated "
-                f"({len(payload)} of {ref.length} bytes)")
-        if not have_codec(ref.codec):
-            raise FormatError(
-                f"field {meta.name!r} chunk {coord} uses unknown codec "
-                f"{ref.codec!r}")
-        _, decompress = codec_functions(ref.codec)
+    @staticmethod
+    def _decode_one(meta: FieldMeta, coord: tuple[int, ...],
+                    spec: CodecSpec, payload: bytes) -> Any:
         try:
-            chunk = decompress(payload)
+            return spec.decompress(payload)
         except FormatError:
             raise
-        except (struct.error, IndexError, ValueError, KeyError,
-                OverflowError, CodecError) as exc:
+        except _CORRUPT as exc:
             raise FormatError(
                 f"field {meta.name!r} chunk {coord} payload is "
                 f"corrupt: {exc}") from exc
-        expected = tuple(
-            sl.stop - sl.start for sl in chunking.chunk_slices(
-                meta.shape, meta.chunk_shape, coord))
-        if tuple(chunk.shape) != expected:
-            raise FormatError(
-                f"field {meta.name!r} chunk {coord} decoded to shape "
-                f"{tuple(chunk.shape)}, manifest geometry expects "
-                f"{expected}")
-        return chunk
 
     @staticmethod
     def _intersect(bounds: tuple[tuple[int, int], ...], meta: FieldMeta,

@@ -8,11 +8,17 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.codecs.huffman import (
+    _SCALAR_CUTOFF,
     MAX_CODE_LENGTH,
     HuffmanTable,
+    _canonical_codes,
+    _column_symbols,
+    _decode_scalar,
     huffman_decode,
+    huffman_decode_many,
     huffman_encode,
 )
+from repro.codecs.varint import decode_uvarint, encode_uvarint, zigzag_encode
 from repro.errors import CodecError
 
 
@@ -167,3 +173,213 @@ class TestEncodeDecode:
 
     def test_max_code_length_constant_sane(self):
         assert 10 <= MAX_CODE_LENGTH <= 24
+
+
+# -- batched decode ----------------------------------------------------------
+
+
+def _oracle(blob: bytes, table: HuffmanTable, offset: int = 0):
+    """Scalar cursor walk over the stream: the differential oracle."""
+    sym_tab, len_tab, L = table.decode_tables()
+    n, pos = decode_uvarint(blob, offset)
+    if n == 0:
+        return np.zeros(0, dtype=np.int64), pos
+    buf = np.frombuffer(blob, dtype=np.uint8, offset=pos)
+    out, cursor = _decode_scalar(buf, n, sym_tab, len_tab, L)
+    return out, pos + (cursor + 7) // 8
+
+
+def _table_of_length(L: int) -> HuffmanTable:
+    """A complete code whose longest codeword is exactly ``L`` bits."""
+    counts = np.array([1 << (L - i) for i in range(L)] + [1],
+                      dtype=np.int64)
+    table = HuffmanTable.from_counts(counts)
+    assert table.max_length == L
+    return table
+
+
+def _stream(rng, table: HuffmanTable, n: int) -> np.ndarray:
+    lens = table.lengths.astype(np.float64)
+    p = np.where(lens > 0, 2.0 ** -lens, 0.0)
+    symbols = rng.choice(table.alphabet_size, size=n, p=p / p.sum())
+    # Make sure the longest codewords occur too.
+    symbols[:: max(1, n // 7)] = int(np.argmax(table.lengths))
+    return symbols.astype(np.int64)
+
+
+class TestDecodeMany:
+    def test_mixed_tables_match_scalar_oracle(self):
+        """Streams with L = 1..20, n on both sides of the scalar cutoff
+        and non-zero offsets decode as the oracle decodes each alone."""
+        rng = np.random.default_rng(18)
+        sizes = [1, _SCALAR_CUTOFF - 1, _SCALAR_CUTOFF, _SCALAR_CUTOFF + 1,
+                 4096, 9000]
+        items, expect = [], []
+        for L in range(1, MAX_CODE_LENGTH + 1):
+            table = _table_of_length(L)
+            n = sizes[L % len(sizes)]
+            symbols = _stream(rng, table, n)
+            prefix = bytes(rng.integers(0, 256, size=L % 5, dtype=np.uint8))
+            blob = prefix + huffman_encode(symbols, table) + b"\xa5" * 3
+            items.append((blob, table, len(prefix)))
+            expect.append(symbols)
+        got = huffman_decode_many(items)
+        assert len(got) == len(items)
+        for (blob, table, offset), symbols, (out, end) in zip(items, expect,
+                                                              got):
+            ref, ref_end = _oracle(blob, table, offset)
+            np.testing.assert_array_equal(ref, symbols)
+            np.testing.assert_array_equal(out, ref)
+            assert end == ref_end == len(blob) - 3
+
+    def test_shared_table_and_empty_streams(self):
+        rng = np.random.default_rng(3)
+        table = _table_of_length(9)
+        parts = [_stream(rng, table, int(m)) for m in (5000, 0, 2000, 3)]
+        items = [(huffman_encode(p, table), table, 0) for p in parts]
+        for part, (out, end), (blob, _, _) in zip(
+                parts, huffman_decode_many(items), items):
+            np.testing.assert_array_equal(out, part)
+            assert end == len(blob)
+        assert huffman_decode_many([]) == []
+
+    @pytest.mark.parametrize("cap", ["_MAX_STACKED_ENTRIES",
+                                     "_MAX_PASS_SYMBOLS"])
+    def test_pass_caps_split_the_batch(self, monkeypatch, cap):
+        import repro.codecs.huffman as huffman
+
+        rng = np.random.default_rng(4)
+        tables = [_table_of_length(L) for L in (10, 11, 12, 12)]
+        parts = [_stream(rng, t, 3000) for t in tables]
+        items = [(huffman_encode(p, t), t, 0) for p, t in zip(parts, tables)]
+        monkeypatch.setattr(huffman, cap, 1 << 11)
+        for part, (out, _) in zip(parts, huffman_decode_many(items)):
+            np.testing.assert_array_equal(out, part)
+
+    def test_stream_end_reads_zeros_not_the_next_stream(self):
+        """A stream cut inside its last codeword decodes that codeword
+        from zero bits, as the oracle does, even when the next stream
+        of the batch starts with one bits."""
+        table = _table_of_length(12)
+        rng = np.random.default_rng(6)
+        ones = int(np.argmax(table.codes))  # the all-ones codeword
+        tail = huffman_encode(np.full(2000, ones, dtype=np.int64), table)
+        for _ in range(50):
+            symbols = _stream(rng, table, 3000)
+            blob = huffman_encode(symbols, table)[:-1]
+            try:
+                ref = _oracle(blob, table)
+            except CodecError:
+                continue  # the cut dropped a whole codeword
+            if np.array_equal(ref[0], symbols):
+                continue  # zero bits happened to rebuild the codeword
+            (out, end), _ = huffman_decode_many([(blob, table, 0),
+                                                 (tail, table, 0)])
+            np.testing.assert_array_equal(out, ref[0])
+            assert end == ref[1]
+            return
+        pytest.fail("no cut stream decoded")
+
+    def test_corrupt_stream_raises_its_own_error(self):
+        rng = np.random.default_rng(5)
+        table = _table_of_length(12)
+        good = [_stream(rng, table, 3000) for _ in range(3)]
+        blobs = [huffman_encode(p, table) for p in good]
+        blobs[1] = blobs[1][: len(blobs[1]) // 3]  # truncated: underrun
+        with pytest.raises(CodecError, match="underrun"):
+            huffman_decode_many([(b, table, 0) for b in blobs])
+
+    def test_hostile_bytes_give_codec_error_or_oracle_agreement(self):
+        """Random bytes under complete and incomplete codes: each decode
+        either raises CodecError or agrees with the oracle."""
+        rng = np.random.default_rng(2026)
+        errors, decoded = 0, []
+        for case in range(400):
+            if case % 2:
+                table = HuffmanTable.from_counts(
+                    rng.integers(1, 1000, size=int(rng.integers(2, 300))))
+            else:  # incomplete: some windows decode to no symbol
+                lengths = np.zeros(64, dtype=np.int64)
+                used = rng.choice(64, size=int(rng.integers(1, 12)),
+                                  replace=False)
+                lengths[used] = rng.integers(2, 9, size=used.size)
+                while np.sum(2.0 ** -lengths[lengths > 0]) > 1.0:
+                    lengths[used[np.argmin(lengths[used])]] += 1
+                table = HuffmanTable(lengths=lengths,
+                                     codes=_canonical_codes(lengths))
+            n = int(rng.integers(1, 4 * _SCALAR_CUTOFF))
+            body = bytes(rng.integers(0, 256, size=int(rng.integers(1, 3000)),
+                                      dtype=np.uint8))
+            blob = encode_uvarint(n) + body
+            try:
+                ref = _oracle(blob, table)
+            except CodecError as exc:
+                with pytest.raises(CodecError) as info:
+                    huffman_decode(blob, table)
+                assert str(info.value) == str(exc)
+                errors += 1
+                continue
+            out, end = huffman_decode(blob, table)
+            np.testing.assert_array_equal(out, ref[0])
+            assert end == ref[1]
+            decoded.append(((blob, table, 0), ref))
+        assert errors and decoded
+        # The decodable ones again, all in one pass.
+        got = huffman_decode_many([item for item, _ in decoded])
+        for (out, end), (_, ref) in zip(got, decoded):
+            np.testing.assert_array_equal(out, ref[0])
+            assert end == ref[1]
+
+    def test_absurd_symbol_count_fails_fast(self):
+        table = _table_of_length(8)
+        blob = encode_uvarint(1 << 40) + b"\x00" * 64
+        with pytest.raises(CodecError, match="underrun"):
+            huffman_decode(blob, table)
+
+
+class TestLockstepRounds:
+    """Lockstep rounds (``huffman.decode.rounds``) are the decoder's
+    per-call cost in numpy calls: a machine-independent gate."""
+
+    @staticmethod
+    def _residual_stream(rng, n: int = 4096):
+        # SZ-style quantization residuals: Laplacian, zigzag-mapped.
+        res = np.round(rng.laplace(0.0, 5.0, n)).astype(np.int64)
+        symbols = zigzag_encode(res).astype(np.int64)
+        table = HuffmanTable.from_symbols(symbols)
+        return huffman_encode(symbols, table), table
+
+    @staticmethod
+    def _rounds(fn) -> int:
+        from repro.observability import (
+            Tracer,
+            metrics_reset,
+            metrics_snapshot,
+            use_tracer,
+        )
+
+        metrics_reset()
+        with use_tracer(Tracer()):
+            fn()
+        return int(metrics_snapshot()["counters"]["huffman.decode.rounds"])
+
+    def test_width_follows_stream_length(self):
+        assert _column_symbols(4096) == 32
+        assert _column_symbols(1 << 18) == 256
+        assert _column_symbols(1 << 22) == 256
+        assert _column_symbols(_SCALAR_CUTOFF) == 32
+
+    def test_one_4096_symbol_stream(self):
+        blob, table = self._residual_stream(np.random.default_rng(0))
+        # A fixed 256-symbol width took about 290 rounds here.
+        assert self._rounds(lambda: huffman_decode(blob, table)) <= 64
+
+    def test_batch_costs_about_one_stream(self):
+        rng = np.random.default_rng(1)
+        items = [(*self._residual_stream(rng), 0) for _ in range(64)]
+        single = max(self._rounds(lambda it=it: huffman_decode(*it))
+                     for it in items)
+        batch = self._rounds(lambda: huffman_decode_many(items))
+        # The batch's longest speculation and slowest overshoot may come
+        # from different streams: a few rounds over the worst stream.
+        assert batch <= single + 8

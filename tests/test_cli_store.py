@@ -84,6 +84,23 @@ def test_failed_pack_leaves_no_output(tmp_path, field_file, capsys):
     assert not out.exists()
 
 
+def test_auto_without_budget_leaves_no_output(tmp_path, field_file, capsys):
+    """The codec options are checked before the store is created."""
+    out = tmp_path / "s.dpzs"
+    assert main(["store", "pack", str(out), f"f={field_file}",
+                 "--codec", "auto"]) == 2
+    assert "error_budget" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unknown_codec_leaves_no_output(tmp_path, field_file, capsys):
+    out = tmp_path / "s.dpzs"
+    assert main(["store", "pack", str(out), f"f={field_file}",
+                 "--codec", "nosuch"]) == 2
+    assert "unknown codec" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_errors_are_one_line_exit_2(tmp_path, field_file, capsys):
     out = tmp_path / "s.dpzs"
     # auto without a budget
