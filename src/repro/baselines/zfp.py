@@ -23,9 +23,22 @@ of ZFP v0.5.x, the paper's second baseline:
 The per-block bit streams are concatenated and stored in a sectioned
 container together with the geometry header.
 
-Performance note: plane extraction and all arithmetic are vectorized
-across blocks; only the group-testing control flow (which is inherently
-sequential per block) runs in Python, on native ints and strings.
+Performance note: the bit-plane coder works on all blocks of a batch
+at once.  The encoder is closed form: a block's significance count
+``n`` before each plane is the bit length of the OR of the planes
+above it, so every plane's length and the offset of every set bit in
+the stream follow from the plane's integer value, and the stream is
+written by one numpy scatter of its ones (fixed rate: the same stream
+cut to the budget, with the plane sweep stopped once every block's
+budget is spent).  Fixed-rate decode runs zfp's control flow in
+lockstep over blocks at known offsets.  Accuracy and precision streams
+store no block offsets, so their decode parses each block in turn --
+but only through its significance phase, skipping verbatim bits with
+``str.find`` and strided slices -- and numpy gathers every verbatim
+plane afterwards.  Block batches bound the working memory
+(:data:`_MAX_BATCH_BITS`).  The stream is byte-identical to zfp's
+one-bit-at-a-time control flow, which ``tests/baselines/zfp_oracle.py``
+keeps as the differential oracle.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from repro.baselines.zfptransform import (
 )
 from repro.codecs.negabinary import int_to_negabinary, negabinary_to_int
 from repro.codecs.varint import decode_uvarint, encode_uvarint
-from repro.errors import ConfigError, DataShapeError, FormatError
+from repro.errors import CodecError, ConfigError, DataShapeError, FormatError
 from repro.observability import counter_inc, gauge_set, observe, span
 
 __all__ = ["ZFPCompressor", "zfp_compress", "zfp_decompress", "ZFP_MODES"]
@@ -69,112 +82,466 @@ EBITS = 12
 _EBIAS = 1075
 
 
-def _plane_ints(u: np.ndarray) -> np.ndarray:
-    """``planes[k, b]`` = bit-plane ``k`` of block ``b`` as an integer.
+#: Unpacked bits (one byte each: blocks x 64 planes x coefficients) one
+#: batch of the bit-plane coder may hold.  Larger inputs are coded in
+#: block batches, so a 128^3 field's working arrays stay in tens of MB
+#: (the same kind of bound as ``huffman._MAX_PASS_SYMBOLS``).
+_MAX_BATCH_BITS = 1 << 22
 
-    ``u`` is ``(n_blocks, size)`` uint64 negabinary coefficients with
-    ``size <= 64``; bit ``i`` of ``planes[k, b]`` is coefficient ``i``'s
-    bit ``k``.
+
+def _batches(nb: int, per_block: int) -> list[slice]:
+    """Block slices of at most ``_MAX_BATCH_BITS // per_block`` blocks."""
+    step = max(1, _MAX_BATCH_BITS // per_block)
+    return [slice(b, min(b + step, nb)) for b in range(0, nb, step)]
+
+
+def _bit_planes(u: np.ndarray) -> np.ndarray:
+    """``bits[b, k, i]``: bit ``k`` (0..63) of coefficient ``i`` of block
+    ``b``, as a transposed view of the unpacked bytes."""
+    nb, size = u.shape
+    raw = np.ascontiguousarray(u, dtype="<u8").view(np.uint8)
+    bits = np.unpackbits(raw.reshape(nb, size, 8), axis=2, bitorder="little")
+    return bits.transpose(0, 2, 1)
+
+
+def _pack_rows(bits: np.ndarray) -> np.ndarray:
+    """uint64 per row of a 0/1 array of 4, 16 or 64 columns (column 0 =
+    bit 0), packed in one flat pass."""
+    rows, width = bits.shape
+    packed = np.packbits(bits.reshape(-1), bitorder="little")
+    if width == 4:  # two rows a byte
+        pairs = np.empty(2 * packed.size, dtype=np.uint8)
+        pairs[0::2] = packed & 15
+        pairs[1::2] = packed >> 4
+        return pairs[:rows].astype(np.uint64)
+    return packed.view(f"<u{width // 8}").astype(np.uint64, copy=False)
+
+
+def _planes_to_coeffs(planes: np.ndarray, size: int) -> np.ndarray:
+    """Invert plane extraction: ``planes[b, k]`` bit ``i`` -> bit ``k`` of
+    coefficient ``i``; returns ``(n_blocks, size)`` uint64."""
+    nb = planes.shape[0]
+    u = np.empty((nb, size), dtype=np.uint64)
+    for sl in _batches(nb, 64 * 64):
+        wide = np.zeros((sl.stop - sl.start, 64), dtype=np.uint64)
+        wide[:, :INTPREC] = planes[sl]
+        bits = _bit_planes(wide)[:, :size]  # [b, i, k]
+        u[sl] = _pack_rows(bits.reshape(-1, 64)).reshape(-1, size)
+    return u
+
+
+def _bit_length(x: np.ndarray) -> np.ndarray:
+    """Bit length of each uint64, exactly (32-bit halves convert exactly)."""
+    hi = np.frexp((x >> np.uint64(32)).astype(np.float64))[1]
+    lo = np.frexp((x & np.uint64(0xFFFFFFFF)).astype(np.float64))[1]
+    return np.where(hi > 0, 32 + hi, lo).astype(np.int64)
+
+
+def _popcount(x: np.ndarray) -> np.ndarray:
+    """Set bits of each uint64 (SWAR; ``np.bitwise_count`` needs numpy 2)."""
+    c = np.uint64
+    x = x - ((x >> c(1)) & c(0x5555555555555555))
+    x = (x & c(0x3333333333333333)) + ((x >> c(2)) & c(0x3333333333333333))
+    x = (x + (x >> c(4))) & c(0x0F0F0F0F0F0F0F0F)
+    return ((x * c(0x0101010101010101)) >> c(56)).astype(np.int64)
+
+
+def _encode_planes(u: np.ndarray, exps: np.ndarray, zero: np.ndarray,
+                   kmin: np.ndarray, block_bits: int | None
+                   ) -> tuple[bytes, int]:
+    """The bit stream of every block as ``(payload, n_bits)``.
+
+    ``u`` is ``(n_blocks, size)`` negabinary coefficients, ``zero``
+    flags the all-zero blocks, ``kmin`` is each block's lowest coded
+    plane and ``block_bits`` the fixed-rate block size (None for the
+    unbounded modes).
     """
     nb, size = u.shape
-    weights = (np.uint64(1) << np.arange(size, dtype=np.uint64))
-    planes = np.empty((INTPREC, nb), dtype=np.uint64)
-    for k in range(INTPREC):
-        bits = (u >> np.uint64(k)) & np.uint64(1)
-        planes[k] = (bits * weights).sum(axis=1, dtype=np.uint64)
+    packed: list[bytes] = []
+    carry = np.zeros(0, dtype=np.uint8)  # bits past the last full byte
+    nbits = 0
+    for sl in _batches(nb, 64 * size):
+        bits = _encode_batch(u[sl], exps[sl], zero[sl], kmin[sl], block_bits)
+        nbits += bits.size
+        bits = np.concatenate([carry, bits])
+        whole = bits.size & ~7
+        packed.append(np.packbits(bits[:whole]).tobytes())
+        carry = bits[whole:]
+    packed.append(np.packbits(carry).tobytes())
+    return b"".join(packed), nbits
+
+
+def _encode_batch(u: np.ndarray, exps: np.ndarray, zero: np.ndarray,
+                  kmin: np.ndarray, block_bits: int | None) -> np.ndarray:
+    """One batch of blocks as a 0/1 uint8 bit array, in closed form.
+
+    zfp's ``encode_ints`` sends plane ``k`` of a block whose first
+    ``n`` coefficients are already significant (``n`` = bit length of
+    the OR of the planes above ``k``) as: the plane's low ``n`` bits
+    verbatim; then one group test per set bit at or above ``n`` -- a
+    ``1`` marker, then the plane's bits up to and including that set
+    bit (a set bit at ``size - 1`` is implied, not sent); then a ``0``
+    unless every coefficient is now significant.  So a plane's length
+    follows from its integer value and ``n``, and each set bit lands at
+    a computable offset: verbatim bit ``i`` at ``i``; a later set bit
+    ``i`` preceded by ``c`` others at or above ``n`` at ``i + c + 1``,
+    with its marker right after the previous set bit's token (at ``n``
+    for the first).  Zeros are never written.  A fixed-rate block is
+    the unbounded stream cut to its budget and zero-padded.
+    """
+    nb, size = u.shape
+    head = 1 + EBITS
+    live = ~zero
+    if live.any():
+        occupied = int(np.bitwise_or.reduce(u[live], axis=None))
+        k_hi = min(occupied.bit_length(), INTPREC) - 1  # INTPREC planes
+        k_lo = int(kmin[live].min())
+    else:
+        k_hi, k_lo = -1, INTPREC
+    # Coded planes above k_hi are empty: one trailing '0' each.
+    skip = np.where(live, np.clip(INTPREC - np.maximum(kmin, k_hi + 1),
+                                  0, None), 0)
+    J = max(k_hi + 1 - k_lo, 0)
+    coded = ((k_hi - np.arange(J))[None, :] >= kmin[:, None]) & live[:, None]
+    B = np.ascontiguousarray(_bit_planes(u)[:, k_lo : k_hi + 1][:, ::-1])
+    B[~coded] = 0  # [b, j, i]: bit i of plane k_hi - j, if coded
+    planes = _pack_rows(B.reshape(nb * J, size)).reshape(nb, J)
+    top = _bit_length(planes)
+    n_after = np.maximum.accumulate(top, axis=1) if J else top
+    n = np.zeros_like(n_after)
+    n[:, 1:] = n_after[:, :-1]
+    cnt = _popcount(planes)
+    below = cnt - np.where(
+        n < size, _popcount(planes >> np.minimum(n, 63).astype(np.uint64)), 0)
+    length = (np.maximum(n, np.minimum(top, size - 1)) + cnt - below
+              + (n_after < size)) * coded
+    if block_bits is not None and J:
+        # Planes past every block's budget are never sent: stop there.
+        used = (head + skip)[:, None] + np.cumsum(length, axis=1)
+        J = int(min(J, ((used < block_bits).sum(axis=1) + 1).max()))
+        B, n, top, cnt, below, length, coded = (
+            np.ascontiguousarray(B[:, :J]), n[:, :J], top[:, :J],
+            cnt[:, :J], below[:, :J], length[:, :J], coded[:, :J])
+    ends = np.cumsum(length, axis=1)
+    if block_bits is None:
+        total_b = np.where(live, head + skip + (ends[:, -1] if J else 0), 1)
+        start = np.cumsum(total_b) - total_b
+        total = int(total_b.sum())
+    else:
+        start = np.arange(nb) * block_bits
+        total = nb * block_bits
+    off = ((start + head + skip)[:, None] + ends - length).ravel()
+    n, top, cnt, below = n.ravel(), top.ravel(), cnt.ravel(), below.ravel()
+    first = np.cumsum(cnt) - cnt  # each plane's first set bit, in order
+
+    idx = np.flatnonzero(B.view(bool))
+    row = idx >> (size.bit_length() - 1)
+    i = idx & (size - 1)
+    # c = set bits in [n, i) of the same plane; negative for verbatim.
+    c = np.arange(idx.size) - (first + below)[row]
+    bit_at = off[row] + i + np.maximum(c + 1, 0)
+    # Each marker follows the previous set bit; a plane's first at n.
+    marks = [(bit_at[:-1] + 1)[c[1:] > 0],
+             (off + n)[(cnt > below) & (n < size)]]
+    # A set bit at size - 1 after the verbatim part is implied.
+    implied = (top == size) & (n < size) & (cnt > 0)
+    bit_at[(first + cnt - 1)[implied]] = total
+    out = np.zeros(total + 1, dtype=np.uint8)
+    if block_bits is not None:
+        # Cut each block at its budget (cut tokens land on a spare bit).
+        end = (start + block_bits).repeat(J)
+        bit_at = np.where(bit_at < end[row], bit_at, total)
+        marks = [m[m < e] for m, e in zip(marks, (
+            end[row[1:][c[1:] > 0]], end[(cnt > below) & (n < size)]))]
+    out[bit_at] = 1
+    for m in marks:
+        out[m] = 1
+    s0 = start[live]
+    out[s0] = 1
+    e = exps[live] + _EBIAS
+    for t in range(EBITS):
+        out[s0 + 1 + t] = (e >> t) & 1
+    return out[:total]
+
+
+def _decode_rate(padded: np.ndarray, blocks: slice, size: int,
+                 block_bits: int, exps: np.ndarray, nonzero: np.ndarray
+                 ) -> np.ndarray:
+    """Fixed-rate blocks sit at known offsets: decode them in lockstep.
+
+    Runs zfp's ``decode_ints`` control flow for every block of the
+    slice at once -- per-block cursor, ``n`` and bit budget arrays, one
+    numpy step per plane and per group-test round.  Fills ``exps`` and
+    ``nonzero`` and returns ``planes[b, k]``, plane ``k`` of block ``b``.
+    """
+    nb = blocks.stop - blocks.start
+    local = padded[blocks.start * block_bits : blocks.stop * block_bits + size]
+    ones = np.flatnonzero(local[: nb * block_bits])
+    after = np.append(ones, local.size + size)  # past the last one
+    ar = np.arange(size)
+    start = np.arange(nb) * block_bits
+    act = np.flatnonzero(local[start])
+    nonzero[blocks.start + act] = True
+    ew = np.left_shift(1, np.arange(EBITS))
+    exps[blocks.start + act] = (local[start[act, None] + 1 + np.arange(EBITS)]
+                                @ ew) - _EBIAS
+    planes = np.zeros((nb, INTPREC), dtype=np.uint64)
+    pos = start + 1 + EBITS
+    left = np.full(nb, block_bits - (1 + EBITS), dtype=np.int64)
+    n = np.zeros(nb, dtype=np.int64)
+    x = np.zeros(nb, dtype=np.uint64)
+    for k in range(INTPREC - 1, -1, -1):
+        act = act[left[act] > 0]
+        if not act.size:
+            break
+        m = np.minimum(n[act], left[act])
+        x[act] = _pack_rows(local[pos[act, None] + ar] * (ar < m[:, None]))
+        pos[act] += m
+        left[act] -= m
+        g = act[(n[act] < size) & (left[act] > 0)]
+        while g.size:
+            left[g] -= 1
+            pos[g] += 1
+            g = g[local[pos[g] - 1] == 1]  # a group test's '1' marker
+            if not g.size:
+                break
+            p = pos[g]
+            lim = np.minimum(size - 1 - n[g], left[g])
+            run = after[np.searchsorted(ones, p)] - p  # zeros before a one
+            step = np.minimum(run, lim)
+            used = step + (run < lim)
+            pos[g] += used
+            left[g] -= used
+            n[g] += step
+            x[g] |= np.left_shift(np.uint64(1), n[g].astype(np.uint64))
+            n[g] += 1
+            g = g[(n[g] < size) & (left[g] > 0)]
+        planes[act, k] = x[act]
     return planes
 
 
-def _encode_block(planes_col, size: int, budget: int, kmin: int,
-                  parts: list[str]) -> None:
-    """Emit one block's plane bits (zfp ``encode_ints`` control flow).
+def _decode_sequential(s: str, padded: np.ndarray, cur: int, blocks: slice,
+                       size: int, kmin: np.ndarray, exps: np.ndarray,
+                       nonzero: np.ndarray) -> tuple[np.ndarray, int]:
+    """Decode the blocks of an accuracy/precision stream from bit ``cur``.
 
-    ``planes_col[k]`` is plane ``k`` of this block as a Python int.
-    ``budget`` is the remaining bit budget (use a huge number for the
-    unbounded modes).  Emitted bits are appended to ``parts`` as '0'/'1'
-    strings, LSB-of-plane (coefficient 0) first.
+    These streams store no block offsets, so each block is parsed in
+    turn -- but only its group tests.  A plane's ``n`` verbatim bits
+    are skipped and gathered later with numpy; ``str.find`` skips runs
+    of empty planes, a strided slice skips runs of planes that add no
+    significant coefficient (``n`` bits and a ``0`` each), and once all
+    ``size`` coefficients are significant the rest of the block is
+    ``size`` verbatim bits per plane.  Fills ``exps`` and ``nonzero``
+    and returns ``(planes, next_cur)`` as :func:`_decode_rate`.
     """
-    bits_left = budget
-    n = 0
-    for k in range(INTPREC - 1, kmin - 1, -1):
-        if bits_left <= 0:
-            break
-        x = planes_col[k]
-        # Step 2: first n coefficient bits verbatim.
-        m = min(n, bits_left)
-        if m:
-            parts.append(format(x & ((1 << m) - 1), f"0{m}b")[::-1])
-            bits_left -= m
-        x >>= m
-        # Step 3: unary run-length encode the remainder (group testing).
-        while n < size and bits_left > 0:
-            bits_left -= 1
-            if x:
-                parts.append("1")
-            else:
-                parts.append("0")
-                break
-            while n < size - 1 and bits_left > 0:
-                bits_left -= 1
-                bit = x & 1
-                parts.append("1" if bit else "0")
-                if bit:
-                    break
-                x >>= 1
-                n += 1
-            else:
-                x >>= 1
-                n += 1
+    find = s.find
+    nz: list[int] = []
+    ex: list[int] = []
+    # Verbatim runs (block, first plane, first bit, n, planes) and the
+    # group-test bits (block, plane, bits) of each plane that has them.
+    runs: list[int] = []  # flat 5-tuples
+    gb: list[int] = []  # flat pairs
+    gx: list[int] = []
+    kmins = kmin[blocks].tolist()
+    b = 0
+    try:
+        for b in range(blocks.stop - blocks.start):
+            if s[cur] == "0":
+                cur += 1
                 continue
-            x >>= 1
-            n += 1
-
-
-def _decode_block(s: str, pos: int, size: int, budget: int,
-                  kmin: int) -> tuple[list[int], int]:
-    """Invert :func:`_encode_block`; returns (coefficients, next_pos).
-
-    ``s`` is the whole bitstream as a '0'/'1' string; ``pos`` the
-    block's first bit.  Reads at most ``budget`` bits.
-    """
-    bits_left = budget
-    n = 0
-    u = [0] * size
-    for k in range(INTPREC - 1, kmin - 1, -1):
-        if bits_left <= 0:
-            break
-        m = min(n, bits_left)
-        if m:
-            seg = s[pos : pos + m]
-            x = int(seg[::-1], 2) if seg else 0
-            pos += m
-            bits_left -= m
-        else:
-            x = 0
-        while n < size and bits_left > 0:
-            bits_left -= 1
-            bit = s[pos]
-            pos += 1
-            if bit == "0":
-                break
-            while n < size - 1 and bits_left > 0:
-                bits_left -= 1
-                b = s[pos]
-                pos += 1
-                if b == "1":
+            nz.append(b)
+            ex.append(int(s[cur + 1 : cur + 1 + EBITS][::-1], 2))
+            cur += 1 + EBITS
+            lo = kmins[b]
+            k = INTPREC - 1
+            n = 0
+            while k >= lo:
+                left = k - lo + 1
+                if n == 0:
+                    j = find("1", cur, cur + left)
+                    if j < 0:
+                        cur += left
+                        break
+                    k -= j - cur
+                    cur = j
+                elif n == size:
+                    runs += (b, k, cur, n, left)
+                    cur += left * size
                     break
-                n += 1
-            x |= 1 << n
-            n += 1
-        # Deposit plane k.
-        xi = x
-        i = 0
-        while xi:
-            if xi & 1:
-                u[i] |= 1 << k
-            xi >>= 1
-            i += 1
-    return u, pos
+                else:
+                    if s[cur + n] == "0":
+                        q = s[cur + n : cur + (n + 1) * left : n + 1].find("1")
+                        quiet = left if q < 0 else q
+                        runs += (b, k, cur, n, quiet)
+                        cur += quiet * (n + 1)
+                        k -= quiet
+                        if k < lo:
+                            break
+                    runs += (b, k, cur, n, 1)
+                    cur += n
+                x = 0
+                while n < size:
+                    if s[cur] == "0":
+                        cur += 1
+                        break
+                    cur += 1
+                    lim = size - 1 - n
+                    j = find("1", cur, cur + lim)
+                    if j < 0:
+                        n += lim
+                        cur += lim
+                    else:
+                        n += j - cur
+                        cur = j + 1
+                    x |= 1 << n
+                    n += 1
+                gb += (b, k)
+                gx.append(x)
+                k -= 1
+    except (IndexError, ValueError) as exc:
+        raise FormatError(
+            f"ZFP bit stream ends inside block {blocks.start + b}") from exc
+    if cur > len(s):
+        raise FormatError(
+            f"ZFP bit stream ends inside block {blocks.stop - 1}")
+    nonzero[blocks.start + np.array(nz, dtype=np.int64)] = True
+    exps[blocks.start + np.array(nz, dtype=np.int64)] = (
+        np.array(ex, dtype=np.int64) - _EBIAS)
+    planes = np.zeros((blocks.stop - blocks.start, INTPREC), dtype=np.uint64)
+    if runs:
+        rb, rk, rpos, rn, count = np.reshape(runs, (-1, 5)).T
+        rec = np.repeat(np.arange(rb.size), count)
+        t = np.arange(rec.size) - np.repeat(np.cumsum(count) - count, count)
+        first = rpos[rec] + t * (rn + (rn < size))[rec]
+        ar = np.arange(size)
+        planes[rb[rec], rk[rec] - t] = _pack_rows(
+            padded[first[:, None] + ar] * (ar < rn[rec, None]))
+    if gb:
+        b_, k_ = np.reshape(gb, (-1, 2)).T
+        planes[b_, k_] |= np.array(gx, dtype=np.uint64)
+    return planes, cur
+
+
+#: ``bytes.translate`` table turning unpacked 0/1 bytes into '0'/'1'.
+_ASCII_BITS = bytes([48, 49] + [0] * 254)
+
+
+@dataclass(frozen=True)
+class _Header:
+    """A validated ZFP container header (see FORMATS.md)."""
+
+    mode: str
+    dtype_tag: str
+    ndim: int
+    shape: tuple[int, ...]
+    padded: tuple[int, ...]
+    n_blocks: int
+    n_bits: int
+    block_bits: int | None  # fixed-rate only
+    kmin: np.ndarray  # lowest coded plane per block
+    payload: bytes
+
+
+def _read_header(sections: list[bytes]) -> _Header:
+    """Parse and check a container's sections before any decoding.
+
+    Every field the decoder trusts is checked against the others, so a
+    hostile header raises :class:`FormatError` instead of an
+    ``IndexError`` or an allocation sized by a forged count.
+    """
+    if len(sections) != 3:
+        raise FormatError(f"ZFP container has {len(sections)} sections, "
+                          f"expected 3")
+    meta, kmin_bytes, payload = sections
+    try:
+        mode_id, pos = decode_uvarint(meta, 0)
+        dtype_tag = meta[pos : pos + 2].decode("ascii", "replace")
+        (param,) = struct.unpack_from("<d", meta, pos + 2)
+        d, pos = decode_uvarint(meta, pos + 10)
+        dims = []
+        for _ in range(2 * min(d, 3)):
+            n, pos = decode_uvarint(meta, pos)
+            dims.append(n)
+        nbits, pos = decode_uvarint(meta, pos)
+    except (CodecError, struct.error) as exc:
+        raise FormatError(f"truncated ZFP header: {exc}") from exc
+    if mode_id >= len(ZFP_MODES):
+        raise FormatError(f"unknown ZFP mode id {mode_id}")
+    if dtype_tag not in _DTYPES:
+        raise FormatError(f"unknown dtype tag {dtype_tag!r}")
+    if not 1 <= d <= 3:
+        raise FormatError(f"ZFP header has {d} dimensions, expected 1-3")
+    shape, padded = tuple(dims[:d]), tuple(dims[d:])
+    for n, p in zip(shape, padded):
+        if n < 1 or p % 4 or not n <= p <= n + 3:
+            raise FormatError(
+                f"ZFP header pads shape {shape} to {padded}: each padded "
+                f"dim must be the dim rounded up to a multiple of 4")
+    mode = ZFP_MODES[mode_id]
+    size = 4 ** d
+    nb = math.prod(p // 4 for p in padded)
+    if nbits < nb:
+        raise FormatError(f"ZFP stream holds {nbits} bits for {nb} blocks")
+    if len(payload) != (nbits + 7) // 8:
+        raise FormatError(f"ZFP payload is {len(payload)} bytes, header "
+                          f"says {nbits} bits")
+    block_bits = None
+    if mode == "rate":
+        if not (math.isfinite(param) and param * size >= 1 + EBITS):
+            raise FormatError(f"ZFP rate {param} is below the block header")
+        block_bits = int(round(param * size))
+        if nbits != nb * block_bits:
+            raise FormatError(
+                f"ZFP fixed-rate stream holds {nbits} bits, expected "
+                f"{nb} blocks x {block_bits}")
+    elif mode == "precision" and not (math.isfinite(param)
+                                      and param == int(param)
+                                      and 1 <= param <= INTPREC):
+        raise FormatError(f"ZFP precision {param} is not in 1..{INTPREC}")
+    if mode == "accuracy":
+        if len(kmin_bytes) != nb:
+            raise FormatError(f"ZFP kmin section holds {len(kmin_bytes)} "
+                              f"bytes for {nb} blocks")
+        kmin = np.frombuffer(kmin_bytes, dtype=np.uint8).astype(np.int64)
+        if int(kmin.max()) > INTPREC:
+            raise FormatError(f"ZFP kmin {int(kmin.max())} exceeds "
+                              f"{INTPREC} planes")
+    else:
+        if kmin_bytes:
+            raise FormatError(f"ZFP {mode} stream carries a kmin section")
+        low = INTPREC - int(param) if mode == "precision" else 0
+        kmin = np.full(nb, low, dtype=np.int64)
+    return _Header(mode, dtype_tag, d, shape, padded, nb, nbits, block_bits,
+                   kmin, payload)
+
+
+def _decode_planes(hdr: _Header
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(u, exps, nonzero)`` for every block of a checked container."""
+    nb, size = hdr.n_blocks, 4 ** hdr.ndim
+    # The stream's bits, then spare zeros so a verbatim read may gather
+    # ``size`` bits from any cursor.
+    padded = np.unpackbits(np.frombuffer(
+        hdr.payload + bytes(size // 8 + 1), dtype=np.uint8))
+    padded[hdr.n_bits :] = 0
+    s = ("" if hdr.block_bits is not None else
+         padded[: hdr.n_bits].tobytes().translate(_ASCII_BITS).decode())
+    u = np.empty((nb, size), dtype=np.uint64)
+    exps = np.zeros(nb, dtype=np.int64)
+    nonzero = np.zeros(nb, dtype=bool)
+    cur = 0
+    for sl in _batches(nb, 64 * INTPREC):
+        if hdr.block_bits is not None:
+            planes = _decode_rate(padded, sl, size, hdr.block_bits, exps,
+                                  nonzero)
+        else:
+            planes, cur = _decode_sequential(s, padded, cur, sl, size,
+                                             hdr.kmin, exps, nonzero)
+        u[sl] = _planes_to_coeffs(planes, size)
+    if hdr.block_bits is None and cur != hdr.n_bits:
+        raise FormatError(f"ZFP bit stream holds {hdr.n_bits} bits, its "
+                          f"blocks {cur}")
+    return u, exps, nonzero
 
 
 @dataclass(frozen=True)
@@ -205,9 +572,12 @@ class ZFPCompressor:
             )
         if self.rate is not None and self.rate <= 0:
             raise ConfigError(f"rate must be positive, got {self.rate}")
-        if self.precision is not None and not 1 <= self.precision <= INTPREC:
+        if self.precision is not None and not (
+                self.precision == int(self.precision)
+                and 1 <= self.precision <= INTPREC):
             raise ConfigError(
-                f"precision must be in [1, {INTPREC}], got {self.precision}"
+                f"precision must be an integer in [1, {INTPREC}], "
+                f"got {self.precision}"
             )
         if self.tolerance is not None and self.tolerance <= 0:
             raise ConfigError(
@@ -267,10 +637,9 @@ class ZFPCompressor:
                         * scale.reshape((nb,) + (1,) * d)).astype(np.int64)
             coeffs = fwd_transform(q).reshape(nb, size)[:, sequency_order(d)]
             u = int_to_negabinary(coeffs).astype(np.uint64)
-            planes = _plane_ints(u)
 
-        budget = (int(round(self.rate * size)) - (1 + EBITS)
-                  if self.rate is not None else 1 << 60)
+        block_bits = (int(round(self.rate * size))
+                      if self.rate is not None else None)
         if self.precision is not None:
             kmin_all = np.full(nb, INTPREC - self.precision, dtype=np.int64)
         elif tol is not None:
@@ -283,39 +652,8 @@ class ZFPCompressor:
             kmin_all = np.zeros(nb, dtype=np.int64)
 
         with span("zfp.bitplane_encode", n_blocks=nb, mode=self.mode) as sp:
-            parts: list[str] = []
-            planes_list = planes.T.tolist()  # per block: [plane0, ...]
-            zero_list = zero_block.tolist()
-            exp_list = exps.tolist()
-            kmin_list = kmin_all.tolist()
-            block_bits = (int(round(self.rate * size))
-                          if self.rate is not None else None)
-            for b in range(nb):
-                block_parts: list[str] = []
-                if zero_list[b]:
-                    block_parts.append("0")
-                else:
-                    block_parts.append("1")
-                    block_parts.append(
-                        format(exp_list[b] + _EBIAS, f"0{EBITS}b")[::-1])
-                    _encode_block(planes_list[b], size, budget,
-                                  int(kmin_list[b]), block_parts)
-                if block_bits is not None:
-                    used = sum(len(p) for p in block_parts)
-                    if used > block_bits:
-                        raise ConfigError(
-                            "fixed-rate budget accounting error")
-                    if used < block_bits:
-                        block_parts.append("0" * (block_bits - used))
-                parts.append("".join(block_parts))
-
-            bitstring = "".join(parts)
-            nbits = len(bitstring)
-            if nbits:
-                arr = np.frombuffer(bitstring.encode("ascii"), dtype=np.uint8)
-                payload = np.packbits(arr - ord("0")).tobytes()
-            else:
-                payload = b""
+            payload, nbits = _encode_planes(u, exps, zero_block, kmin_all,
+                                            block_bits)
             sp.add(bytes_out=len(payload))
 
         meta = bytearray()
@@ -353,66 +691,12 @@ class ZFPCompressor:
         t_start = time.perf_counter()
         counter_inc("zfp.decompress.runs")
         counter_inc("zfp.decompress.bytes_in", len(blob))
-        meta, kmin_bytes, payload = unpack_sections(blob, _MAGIC, _VERSION)
-        mode_id, pos = decode_uvarint(meta, 0)
-        mode = ZFP_MODES[mode_id]
-        dtype_tag = meta[pos : pos + 2].decode()
-        pos += 2
-        if dtype_tag not in _DTYPES:
-            raise FormatError(f"unknown dtype tag {dtype_tag!r}")
-        (param,) = struct.unpack_from("<d", meta, pos)
-        pos += 8
-        d, pos = decode_uvarint(meta, pos)
-        shape = []
-        for _ in range(d):
-            n, pos = decode_uvarint(meta, pos)
-            shape.append(n)
-        padded = []
-        for _ in range(d):
-            n, pos = decode_uvarint(meta, pos)
-            padded.append(n)
-        nbits, pos = decode_uvarint(meta, pos)
-
+        hdr = _read_header(unpack_sections(blob, _MAGIC, _VERSION))
+        d, nb = hdr.ndim, hdr.n_blocks
         size = 4 ** d
-        nb = int(np.prod([n // 4 for n in padded]))
-        bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))[:nbits]
-        s = bits.tobytes().translate(bytes([48, 49] + [0] * 254)).decode()
-
-        if mode == "rate":
-            block_bits = int(round(param * size))
-            budget = block_bits - (1 + EBITS)
-        else:
-            block_bits = None
-            budget = 1 << 60
-        if mode == "precision":
-            kmin_global = INTPREC - int(param)
-        else:
-            kmin_global = 0
-        kmin_arr = (np.frombuffer(kmin_bytes, dtype=np.uint8)
-                    if mode == "accuracy" else None)
-
-        with span("zfp.bitplane_decode", bytes_in=len(payload),
-                  n_blocks=nb, mode=mode):
-            u = np.zeros((nb, size), dtype=np.uint64)
-            exps = np.zeros(nb, dtype=np.int64)
-            nonzero = np.zeros(nb, dtype=bool)
-            cursor = 0
-            for b in range(nb):
-                start = cursor
-                flag = s[cursor]
-                cursor += 1
-                if flag == "1":
-                    nonzero[b] = True
-                    eseg = s[cursor : cursor + EBITS]
-                    cursor += EBITS
-                    exps[b] = int(eseg[::-1], 2) - _EBIAS
-                    kmin = (int(kmin_arr[b]) if kmin_arr is not None
-                            else kmin_global)
-                    coeffs, cursor = _decode_block(s, cursor, size, budget,
-                                                   kmin)
-                    u[b] = np.asarray(coeffs, dtype=np.uint64)
-                if block_bits is not None:
-                    cursor = start + block_bits
+        with span("zfp.bitplane_decode", bytes_in=len(hdr.payload),
+                  n_blocks=nb, mode=hdr.mode):
+            u, exps, nonzero = _decode_planes(hdr)
 
         with span("zfp.inverse_transform", n_blocks=nb) as sp:
             perm = sequency_order(d)
@@ -423,10 +707,10 @@ class ZFPCompressor:
             scale = np.ldexp(1.0, (FRAC_BITS - 1) - exps)
             blocks = q.astype(np.float64) / scale.reshape((nb,) + (1,) * d)
             blocks[~nonzero] = 0.0
-            out = merge_blocks(blocks, tuple(padded), tuple(shape))
+            out = merge_blocks(blocks, hdr.padded, hdr.shape)
             sp.add(bytes_out=int(out.nbytes))
         observe("zfp.decompress.seconds", time.perf_counter() - t_start)
-        return out.astype(_DTYPES[dtype_tag])
+        return out.astype(_DTYPES[hdr.dtype_tag])
 
 
 def zfp_compress(data: np.ndarray, *, rate: float | None = None,

@@ -278,6 +278,9 @@ class HuffmanTable:
             Maximum codeword length; bounds decode-table memory at
             ``2**max_len`` entries.
         """
+        if max_len > MAX_CODE_LENGTH:
+            raise CodecError(f"max_len {max_len} exceeds MAX_CODE_LENGTH "
+                             f"({MAX_CODE_LENGTH}), which decode enforces")
         counts = np.asarray(counts, dtype=np.int64)
         if counts.ndim != 1:
             raise CodecError("counts must be 1-D")
@@ -352,9 +355,12 @@ class HuffmanTable:
                 "tuple[NDArray[np.int64], NDArray[np.uint8], int]", cached
             )
         L = self.max_length
-        if L > 32:
+        if L > MAX_CODE_LENGTH:
+            # The encoder never writes longer codes, and the flat tables
+            # hold 2**L entries: a forged header must not size them.
             raise CodecError(
-                f"code length {L} exceeds the 32-bit decode-window cap"
+                f"code length {L} exceeds MAX_CODE_LENGTH "
+                f"({MAX_CODE_LENGTH})"
             )
         if L == 0:
             tables = (np.zeros(1, dtype=np.int64),

@@ -590,8 +590,6 @@ class Store:
                     spec: CodecSpec, payload: bytes) -> Any:
         try:
             return spec.decompress(payload)
-        except FormatError:
-            raise
         except _CORRUPT as exc:
             raise FormatError(
                 f"field {meta.name!r} chunk {coord} payload is "

@@ -168,15 +168,16 @@ def test_huffman_decode_empty_table_and_stream_errors():
         huffman_decode(b"\x05", real)  # count=5, zero payload bytes
 
 
-# -- satellite: L > 32 guard ------------------------------------------------
+# -- satellite: code length guard -------------------------------------------
 
 
 def test_decode_tables_rejects_window_overflow():
-    """L > 32 would overflow the uint32 decode window; must be refused."""
+    """L > 32 would overflow the uint32 decode window; must be refused
+    (by the tighter MAX_CODE_LENGTH cap, which also bounds the tables)."""
     lengths = np.zeros(4, dtype=np.int64)
     lengths[0] = 33
     table = HuffmanTable(lengths=lengths, codes=np.zeros(4, dtype=np.uint64))
-    with pytest.raises(CodecError, match="32-bit decode-window cap"):
+    with pytest.raises(CodecError, match="exceeds MAX_CODE_LENGTH"):
         table.decode_tables()
 
 

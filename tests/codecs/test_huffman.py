@@ -111,6 +111,31 @@ class TestSerialization:
         np.testing.assert_array_equal(restored.lengths, table.lengths)
         assert buf[pos:] == b"tail"
 
+    def test_hostile_header_with_30_bit_codes_is_refused(self):
+        """Two 30-bit codes would size a 2**30-entry (8 GiB) table."""
+        lengths = np.arange(1, 31, dtype=np.int64)
+        lengths = np.append(lengths, 30)  # a complete code, Kraft sum 1
+        forged = HuffmanTable(lengths=lengths,
+                              codes=_canonical_codes(lengths)).to_bytes()
+        table, _ = HuffmanTable.from_bytes(forged)
+        assert table.max_length == 30
+        with pytest.raises(CodecError, match="MAX_CODE_LENGTH"):
+            huffman_decode(encode_uvarint(4) + bytes(8), table)
+
+    def test_longest_allowed_code_still_decodes(self):
+        lengths = np.append(np.arange(1, MAX_CODE_LENGTH + 1),
+                            MAX_CODE_LENGTH).astype(np.int64)
+        table = HuffmanTable(lengths=lengths, codes=_canonical_codes(lengths))
+        table, _ = HuffmanTable.from_bytes(table.to_bytes())
+        symbols = np.array([0, MAX_CODE_LENGTH, 3, MAX_CODE_LENGTH - 1])
+        out, _ = huffman_decode(huffman_encode(symbols, table), table)
+        np.testing.assert_array_equal(out, symbols)
+
+    def test_builder_refuses_codes_decode_would_refuse(self):
+        with pytest.raises(CodecError, match="MAX_CODE_LENGTH"):
+            HuffmanTable.from_counts(np.array([1, 2, 3]),
+                                     max_len=MAX_CODE_LENGTH + 1)
+
 
 class TestEncodeDecode:
     def test_simple_roundtrip(self):

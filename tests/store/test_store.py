@@ -217,6 +217,32 @@ class TestLazyOpenAndAppend:
         np.testing.assert_array_equal(
             st.get_region("f", (slice(0, 32),)), ref[:32])
 
+    def test_corrupt_zfp_chunk_is_named(self, tmp_path, rng):
+        """A hostile ZFP header inside one chunk (a kmin byte past the
+        54 coded planes) surfaces as a FormatError naming that chunk."""
+        from repro.codecs.container import pack_sections, unpack_sections
+
+        field = np.cumsum(rng.normal(size=(32, 32, 32)), axis=0)
+        path = tmp_path / "s.dpzs"
+        with Store.create(path) as st:
+            st.add("f", field.astype(np.float32), codec="zfp",
+                   chunk_shape=16, tolerance=1e-2)
+        bad = Store.open(path)._fields["f"].chunks[5]  # chunk (1, 0, 1)
+        blob = bytearray(path.read_bytes())
+        end = bad.offset + bad.length
+        meta, kmin, payload = unpack_sections(bytes(blob[bad.offset:end]),
+                                              b"ZFR1", 1)
+        forged = pack_sections(b"ZFR1", 1,
+                               [meta, b"\xff" + kmin[1:], payload])
+        assert len(forged) == bad.length
+        blob[bad.offset:end] = forged
+        path.write_bytes(bytes(blob))
+        st = Store.open(path, cache_bytes=0)
+        with pytest.raises(FormatError, match=r"chunk \(1, 0, 1\) payload "
+                           r"is corrupt: ZFP kmin 255"):
+            st.get("f")
+        assert st.get_region("f", (slice(0, 16),)).shape == (16, 32, 32)
+
     def test_append_never_rewrites_payloads(self, tmp_path, field_3d, rng):
         path = tmp_path / "s.dpzs"
         with Store.create(path) as st:
