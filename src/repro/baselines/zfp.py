@@ -80,6 +80,9 @@ INTPREC = 54
 #: covering the full float64 exponent range).
 EBITS = 12
 _EBIAS = 1075
+#: The exponents ``np.frexp`` gives a nonzero finite float64 (smallest
+#: subnormal .. largest normal); a block outside them is corrupt.
+_EXP_MIN, _EXP_MAX = -1073, 1024
 
 
 #: Unpacked bits (one byte each: blocks x 64 planes x coefficients) one
@@ -541,6 +544,11 @@ def _decode_planes(hdr: _Header
     if hdr.block_bits is None and cur != hdr.n_bits:
         raise FormatError(f"ZFP bit stream holds {hdr.n_bits} bits, its "
                           f"blocks {cur}")
+    bad = nonzero & ((exps < _EXP_MIN) | (exps > _EXP_MAX))
+    if bad.any():
+        b = int(np.argmax(bad))
+        raise FormatError(f"ZFP block {b} has exponent {int(exps[b])}, "
+                          f"outside {_EXP_MIN}..{_EXP_MAX}")
     return u, exps, nonzero
 
 

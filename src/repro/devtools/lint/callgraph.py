@@ -17,8 +17,8 @@ global view once per lint run:
   constructor-then-method chains, and -- as a last resort -- methods
   whose bare name is unique across the whole tree;
 * **worker-reachability**: the set of functions reachable from any
-  task closure passed to ``parallel_map`` (or containing a
-  ``capture_worker()`` block), computed by BFS over the call graph;
+  task closure passed to ``parallel_map`` or an executor's
+  ``submit``, computed by BFS over the call graph;
 * per-function **flow facts**: lock acquisitions (``with lock:``
   blocks with the lexically-held lock set at entry), resolved calls
   with the held set at the call site, and shared-state mutations
@@ -69,11 +69,9 @@ _MUTATOR_METHODS = frozenset({
     "appendleft", "popleft", "move_to_end", "__setitem__",
 })
 
-#: Functions whose first positional argument is a worker task closure.
-_FAN_OUT_FNS = frozenset({"parallel_map"})
-
-#: Context managers that place their body in worker context.
-_WORKER_CTX_FNS = frozenset({"capture_worker"})
+#: Functions whose first positional argument is a worker task closure
+#: (``Executor.submit`` is how ``parallel_map`` itself dispatches).
+_FAN_OUT_FNS = frozenset({"parallel_map", "submit"})
 
 #: How many alias links to follow when resolving a re-exported name.
 _MAX_ALIAS_CHAIN = 8
@@ -698,9 +696,8 @@ def _collect_facts(info: FunctionInfo, project: Project) -> FunctionFacts:
                         Acquisition(lock=lock, node=child, held=inner))
                     inner = inner + (lock,)
                 elif isinstance(item.context_expr, ast.Call):
-                    # `with capture_worker():` etc. still get their
-                    # call (and argument subtree) recorded, e.g. for
-                    # worker-context seeding.
+                    # A `with f():` header is a call too: record it
+                    # (and its argument subtree) as a call edge.
                     walk_node(item.context_expr, held)
             for stmt in child.body:
                 walk_node(stmt, inner)
@@ -756,10 +753,7 @@ def _seed_workers(project: Project) -> None:
     for qual, info in list(project.functions.items()):
         facts = project.facts[qual]
         for rc in facts.calls:
-            leaf = rc.callee.rsplit(".", 1)[-1]
-            if leaf in _WORKER_CTX_FNS:
-                project.worker_roots.add(qual)
-            if leaf not in _FAN_OUT_FNS:
+            if rc.callee.rsplit(".", 1)[-1] not in _FAN_OUT_FNS:
                 continue
             call = rc.node
             if not call.args:

@@ -3,9 +3,8 @@
 Static concurrency analysis lives or dies on its false-positive rate,
 so every DPZ8xx rule ships with a corpus of minimal fixtures: *racy*
 snippets the rule *must* flag and *clean* snippets it *must not*.  The
-test suite asserts both directions, and the v2 JSON report embeds the
-per-rule pass stats (``fixture_corpus``) so a CI artifact shows not
-just what the lint found but that the finder itself still works.
+test suite asserts both directions, so a rule that silently stops
+finding races fails the build.
 
 Each fixture is one synthetic module linted in isolation through the
 same engine path as real files (``FileContext`` -> single-file
@@ -24,7 +23,7 @@ from repro.devtools.lint.callgraph import build_project
 from repro.devtools.lint.engine import FileContext, Finding
 from repro.devtools.lint.registry import ProjectCheckFn, Rule, all_rules
 
-__all__ = ["Fixture", "CORPUS", "run_fixture", "corpus_stats"]
+__all__ = ["Fixture", "CORPUS", "run_fixture"]
 
 
 @dataclass(frozen=True)
@@ -169,15 +168,18 @@ CORPUS: dict[str, list[Fixture]] = {
             def run(items):
                 return parallel_map(task, items)
             """),
-        _fx("tracer-swap-in-capture", True, """
-            from repro.observability.aggregate import capture_worker
+        _fx("tracer-swap-in-task", True, """
             from repro.observability.tracer import set_tracer
+            from repro.parallel import parallel_map
 
 
             def task(item):
-                with capture_worker():
-                    set_tracer(None)
-                    return item.work()
+                set_tracer(None)
+                return item.work()
+
+
+            def run(items):
+                return parallel_map(task, items)
             """),
         _fx("runlog-append-in-worker-callee", True, """
             from repro.observability.runlog import append_record
@@ -392,38 +394,3 @@ def run_fixture(rule_id: str, fixture: Fixture,
     check = cast(ProjectCheckFn, target.check)
     return [f for f in check(project) if f.rule == rule_id]
 
-
-def corpus_stats(rules: dict[str, Rule] | None = None
-                 ) -> dict[str, dict[str, object]]:
-    """Per-rule corpus pass stats for the v2 JSON report.
-
-    For every corpus-backed rule present in ``rules``::
-
-        {"racy_total": 3, "racy_flagged": 3,
-         "clean_total": 4, "clean_false_positives": 0, "pass": true}
-    """
-    if rules is None:
-        rules = all_rules()
-    out: dict[str, dict[str, object]] = {}
-    for rule_id, fixtures in sorted(CORPUS.items()):
-        if rule_id not in rules:
-            continue
-        racy_total = racy_flagged = clean_total = clean_fp = 0
-        for fixture in fixtures:
-            findings = run_fixture(rule_id, fixture, rules)
-            if fixture.racy:
-                racy_total += 1
-                if findings:
-                    racy_flagged += 1
-            else:
-                clean_total += 1
-                if findings:
-                    clean_fp += 1
-        out[rule_id] = {
-            "racy_total": racy_total,
-            "racy_flagged": racy_flagged,
-            "clean_total": clean_total,
-            "clean_false_positives": clean_fp,
-            "pass": racy_flagged == racy_total and clean_fp == 0,
-        }
-    return out

@@ -1,18 +1,16 @@
 """Rendering lint results: human one-liners and machine JSON.
 
 The JSON document is versioned because CI uploads it as an artifact
-and the schema therefore outlives any one checkout.  Version 2 adds
-two keys on top of the original version-1 shape:
+and the schema therefore outlives any one checkout.  On top of the
+original version-1 shape it carries:
 
 ``call_graph``
     Digest of the cross-module analysis (module/function/edge counts,
     worker-reachability) when any project-scope rule ran; ``null``
     otherwise.
-``fixture_corpus``
-    Per-rule precision/recall stats from the seeded race-fixture
-    corpus for every selected DPZ8xx rule -- evidence in the artifact
-    that the concurrency checkers themselves still detect what they
-    claim to.
+
+Version 3 dropped version 2's ``fixture_corpus``: the race-fixture
+corpus gate runs in the test suite, not on every lint call.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ from repro.devtools.lint.registry import Rule
 
 __all__ = ["to_text", "to_json", "JSON_VERSION"]
 
-JSON_VERSION = 2
+JSON_VERSION = 3
 
 
 def to_text(report: LintReport, rules: dict[str, Rule]) -> str:
@@ -56,7 +54,7 @@ def to_text(report: LintReport, rules: dict[str, Rule]) -> str:
 
 
 def to_json(report: LintReport, rules: dict[str, Rule]) -> str:
-    """Machine-readable report, current (version-2) schema."""
+    """Machine-readable report, current (version-3) schema."""
     doc: dict[str, Any] = {
         "tool": "dpzlint",
         "version": JSON_VERSION,
@@ -74,12 +72,5 @@ def to_json(report: LintReport, rules: dict[str, Rule]) -> str:
         ],
         "call_graph": report.call_graph,
     }
-    # Only pay the corpus cost when a corpus-backed rule was selected.
-    from repro.devtools.lint.corpus import CORPUS, corpus_stats
-
-    if any(rid in rules for rid in CORPUS):
-        doc["fixture_corpus"] = corpus_stats(rules)
-    else:
-        doc["fixture_corpus"] = {}
     return json.dumps(doc, indent=2, sort_keys=True)
 

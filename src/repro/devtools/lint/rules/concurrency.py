@@ -84,8 +84,8 @@ def _ctx_finding(project: Project, info: FunctionInfo, rule_id: str,
 
 
 @rule("DPZ801", "worker-unguarded-shared-mutation",
-      "functions reachable from a parallel_map/capture_worker task may "
-      "not mutate module globals or closure variables without a lock",
+      "functions reachable from a parallel_map task may not mutate "
+      "module globals or closure variables without a lock",
       "Every pool worker runs the task closure concurrently; an "
       "unguarded read-modify-write on shared state is a data race that "
       "silently corrupts payload bytes -- the exact failure the DPZ "

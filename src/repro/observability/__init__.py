@@ -10,7 +10,9 @@ live; otherwise **zero overhead**):
 * :mod:`repro.observability.metrics` -- a thread-safe typed registry
   of counters, gauges and fixed-bucket log-scale histograms with a
   JSON snapshot and Prometheus text exposition
-  (:func:`metrics_snapshot`, :func:`render_prometheus`).
+  (:func:`metrics_snapshot`, :func:`render_prometheus`).  Every
+  thread, pooled ``parallel_map`` tasks included, writes the one
+  default registry, so counter totals do not depend on ``n_jobs``.
 * :mod:`repro.observability.quality` -- opt-in Z-checker-style quality
   telemetry (:func:`use_quality`): per-run PSNR / max & mean error /
   CR / bit-rate / TVE on a deterministic sampled slab, recorded as
@@ -24,10 +26,6 @@ live; otherwise **zero overhead**):
 
 On top of those, the telemetry plane added for live operation:
 
-* :mod:`repro.observability.aggregate` -- worker-telemetry frames:
-  pooled ``parallel_map`` tasks capture their metric emissions into a
-  private registry and ship one compact snapshot back for an exact
-  parent-side merge, so counter totals are ``n_jobs``-invariant.
 * :mod:`repro.observability.profiler` -- a wall-clock sampling
   profiler over the tracer's live span stacks, rendered through the
   flamegraph exporter (``dpz trace --profile``).
@@ -49,13 +47,6 @@ Typical use::
     print(metrics_snapshot()["gauges"]["quality.psnr_db"])
 """
 
-from repro.observability.aggregate import (
-    capture_worker,
-    merge_frame,
-    merge_frames,
-    snapshot_frame,
-    worker_origin,
-)
 from repro.observability.emit import (
     load_trace,
     spans_to_ndjson,
@@ -166,12 +157,6 @@ __all__ = [
     "folded_to_text",
     "render_html",
     "write_flamegraph",
-    # worker telemetry aggregation
-    "capture_worker",
-    "snapshot_frame",
-    "merge_frame",
-    "merge_frames",
-    "worker_origin",
     # sampling profiler
     "SamplingProfiler",
     "use_profiler",

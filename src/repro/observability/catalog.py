@@ -78,8 +78,6 @@ COUNTERS: frozenset[str] = frozenset({
     "zlib.compress.bytes_in",
     "zlib.compress.bytes_out",
     "zlib.compress.stored_raw",
-    "worker.merge.lossy",
-    "worker.snapshots.merged",
     "zlib.decompress.calls",
     "zlib.decompress.bytes_in",
 })

@@ -1,12 +1,11 @@
-"""Render traces and counters as NDJSON / JSON; load and diff traces.
+"""Render traces and metrics as NDJSON / JSON; load and diff traces.
 
 NDJSON (one JSON object per line) is the trace interchange format: it
 streams, ``grep``s, and loads into any dataframe library.  A trace file
 contains one ``{"event": "meta", ...}`` header line, one
 ``{"event": "span", ...}`` line per finished span (in completion
-order), a ``{"event": "counters", ...}`` line when any counters fired,
-and a final ``{"event": "metrics", ...}`` line carrying the gauge /
-histogram snapshot when any exist.
+order), and a final ``{"event": "metrics", ...}`` line carrying the
+counter / gauge / histogram snapshot when anything was recorded.
 
 :func:`trace_summary` folds a tracer's spans into a JSON-ready
 per-stage summary: seconds and shares plus total bytes moved.
@@ -28,10 +27,13 @@ __all__ = ["spans_to_ndjson", "write_ndjson", "trace_summary",
 
 
 def spans_to_ndjson(spans: Iterable[Span], *,
-                    meta: dict | None = None,
-                    counters: dict[str, int] | None = None,
-                    metrics: dict | None = None) -> str:
-    """Serialize spans (plus optional header/counters/metrics) as NDJSON."""
+                    meta: dict | None = None) -> str:
+    """Serialize spans plus a header and the default registry's
+    snapshot as NDJSON.
+
+    The metrics line drops zero counters, empty histograms and empty
+    kinds, and is left out when nothing remains.
+    """
     lines = []
     header = {"event": "meta", "format": "repro-trace", "version": 1}
     if meta:
@@ -42,14 +44,13 @@ def spans_to_ndjson(spans: Iterable[Span], *,
         rec.update(s.to_dict())
         lines.append(json.dumps(rec, sort_keys=True))
     snap = metrics_snapshot()
-    if counters is None:
-        counters = {n: v for n, v in snap["counters"].items() if v}
-    if counters:
-        lines.append(json.dumps(
-            {"event": "counters", **counters}, sort_keys=True))
-    if metrics is None:
-        metrics = {k: v for k, v in snap.items()
-                   if k in ("gauges", "histograms") and v}
+    metrics = {
+        "counters": {n: v for n, v in snap["counters"].items() if v},
+        "gauges": snap["gauges"],
+        "histograms": {n: h for n, h in snap["histograms"].items()
+                       if h["count"]},
+    }
+    metrics = {kind: recs for kind, recs in metrics.items() if recs}
     if metrics:
         lines.append(json.dumps(
             {"event": "metrics", **metrics}, sort_keys=True))
@@ -93,9 +94,12 @@ def trace_summary(tracer: Tracer, prefix: str = "") -> dict:
 def load_trace(path_or_fh: str | IO[str]) -> dict:
     """Read a trace NDJSON file back into parts.
 
-    Returns ``{"meta", "spans", "counters", "metrics"}`` where
-    ``spans`` is a list of plain span dicts.  Raises
-    :class:`~repro.errors.FormatError` when the file is not a
+    Returns ``{"meta", "spans", "metrics"}`` where ``spans`` is a list
+    of plain span dicts and ``metrics`` the ``{"counters", "gauges",
+    "histograms"}`` snapshot (kinds the file lacks are absent).  Traces
+    written before the counters moved into the metrics line carry them
+    on a separate ``counters`` line, which is read into the same place.
+    Raises :class:`~repro.errors.FormatError` when the file is not a
     repro-trace.
     """
     from repro.errors import FormatError
@@ -105,7 +109,7 @@ def load_trace(path_or_fh: str | IO[str]) -> dict:
     else:
         with open(path_or_fh) as fh:
             text = fh.read()
-    out: dict = {"meta": {}, "spans": [], "counters": {}, "metrics": {}}
+    out: dict = {"meta": {}, "spans": [], "metrics": {}}
     first = True
     for line in text.splitlines():
         line = line.strip()
@@ -126,9 +130,9 @@ def load_trace(path_or_fh: str | IO[str]) -> dict:
         elif event == "span":
             out["spans"].append(rec)
         elif event == "counters":
-            out["counters"] = rec
+            out["metrics"]["counters"] = rec
         elif event == "metrics":
-            out["metrics"] = rec
+            out["metrics"].update(rec)
     if first:
         raise FormatError("empty trace file")
     return out

@@ -25,6 +25,13 @@ and they follow the same rule as :func:`repro.observability.span`:
 global load, a ``None`` test and a return -- no lock, no allocation,
 no clock read.
 
+Every thread writes the one default registry, pooled
+:func:`~repro.parallel.executor.parallel_map` tasks included: each
+metric takes its own lock, so counter totals and histogram buckets do
+not depend on ``n_jobs``.  Gauges are last-write-wins, so a
+``*.last.*`` gauge set inside a pooled map holds the value of the last
+task to finish, not that of the last item.
+
 Output
 ------
 :func:`MetricsRegistry.snapshot` returns a JSON-ready dict (the shape
@@ -44,8 +51,6 @@ extra translation layer.  FORMATS.md specifies the exported names.
 from __future__ import annotations
 
 import math
-import threading
-from contextlib import contextmanager
 from typing import Union
 
 from repro.devtools.sanitize import checked_lock
@@ -58,9 +63,6 @@ __all__ = [
     "Histogram",
     "MetricsRegistry",
     "get_registry",
-    "get_active_registry",
-    "set_local_registry",
-    "use_local_registry",
     "counter_inc",
     "gauge_set",
     "gauge_add",
@@ -246,20 +248,16 @@ class Histogram:
             seen += c
         return self.hi
 
-    def bounds_signature(self) -> tuple[float, float, int]:
-        """The constructor triple that fully determines the buckets."""
-        return (self.lo, self.hi, self.buckets_per_decade)
-
     def merge_binned(self, counts: list[int], count: int, total: float,
                      vmin: float | None = None,
                      vmax: float | None = None) -> None:
         """Fold pre-binned observations in, bucket for bucket.
 
         ``counts`` must already be laid out for this histogram's bounds
-        (same ``bounds_signature()``); the caller -- the worker-frame
-        merge in :mod:`repro.observability.aggregate` -- checks that.
-        The merge is exact: after merging, ``counts``/``count``/``sum``
-        equal what direct ``observe()`` calls would have produced.
+        (a histogram built with the same ``lo``/``hi``/
+        ``buckets_per_decade``); only the bucket count is checked.  The
+        merge is exact: after merging, ``counts``/``count``/``sum`` equal
+        what direct ``observe()`` calls would have produced.
         """
         if len(counts) != len(self._counts):
             raise ConfigError(
@@ -425,50 +423,10 @@ def _fmt(v: float) -> str:
 
 _REGISTRY = MetricsRegistry()
 
-#: Per-thread registry override.  ``parallel_map`` workers capture their
-#: emissions into a private task-local registry (see
-#: :mod:`repro.observability.aggregate`) so the parent can merge one
-#: compact snapshot per task instead of racing on shared series -- the
-#: exact protocol a process pool would need.  The override is consulted
-#: only *after* the tracing gate, so the disabled path stays a global
-#: load + ``None`` test.
-_LOCAL = threading.local()
-
 
 def get_registry() -> MetricsRegistry:
     """The process-wide default registry."""
     return _REGISTRY
-
-
-def get_active_registry() -> MetricsRegistry:
-    """The registry hot-path helpers write to on *this* thread.
-
-    The thread's capture registry when one is installed (worker
-    telemetry aggregation), else the process default.
-    """
-    local = getattr(_LOCAL, "registry", None)
-    return _REGISTRY if local is None else local
-
-
-def set_local_registry(registry: MetricsRegistry | None
-                       ) -> MetricsRegistry | None:
-    """Install (or with ``None`` remove) this thread's capture registry.
-
-    Returns the previous override so callers can restore it.
-    """
-    previous = getattr(_LOCAL, "registry", None)
-    _LOCAL.registry = registry
-    return previous
-
-
-@contextmanager
-def use_local_registry(registry: MetricsRegistry):
-    """Capture this thread's metric emissions into ``registry``."""
-    previous = set_local_registry(registry)
-    try:
-        yield registry
-    finally:
-        set_local_registry(previous)
 
 
 def metrics_enabled() -> bool:
@@ -477,33 +435,33 @@ def metrics_enabled() -> bool:
 
 
 def counter_inc(name: str, value: Union[int, float] = 1) -> None:
-    """Add to a counter in the active registry (no-op when disabled)."""
+    """Add to a counter in the default registry (no-op when disabled)."""
     if _tracer._ACTIVE is None:
         return
-    get_active_registry().counter(name).add(value)
+    _REGISTRY.counter(name).add(value)
 
 
 def gauge_set(name: str, value: float) -> None:
-    """Set a gauge in the active registry (no-op when disabled)."""
+    """Set a gauge in the default registry (no-op when disabled)."""
     if _tracer._ACTIVE is None:
         return
-    get_active_registry().gauge(name).set(value)
+    _REGISTRY.gauge(name).set(value)
 
 
 def gauge_add(name: str, delta: float) -> None:
-    """Adjust a gauge in the active registry (no-op when disabled)."""
+    """Adjust a gauge in the default registry (no-op when disabled)."""
     if _tracer._ACTIVE is None:
         return
-    get_active_registry().gauge(name).add(delta)
+    _REGISTRY.gauge(name).add(delta)
 
 
 def observe(name: str, value: float, *,
             lo: float = DEFAULT_LO, hi: float = DEFAULT_HI) -> None:
-    """Observe into a histogram in the active registry (no-op when
+    """Observe into a histogram in the default registry (no-op when
     disabled).  ``lo``/``hi`` only apply on first creation."""
     if _tracer._ACTIVE is None:
         return
-    get_active_registry().histogram(name, lo=lo, hi=hi).observe(value)
+    _REGISTRY.histogram(name, lo=lo, hi=hi).observe(value)
 
 
 def metrics_snapshot() -> dict:

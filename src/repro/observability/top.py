@@ -30,7 +30,6 @@ _RATE_ROWS: tuple[tuple[str, str], ...] = (
     ("bytes decoded", "store.bytes.decoded"),
     ("region reads", "store.region.reads"),
     ("compress runs", "dpz.compress.runs"),
-    ("worker frames", "worker.snapshots.merged"),
 )
 
 

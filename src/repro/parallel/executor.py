@@ -29,7 +29,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Callable, Sequence, TypeVar
 
 import time
 
@@ -43,20 +43,12 @@ from repro.observability import (
     span,
     tracing_enabled,
 )
-from repro.observability.aggregate import (
-    capture_worker,
-    merge_frames,
-    snapshot_frame,
-    worker_origin,
-)
 
 __all__ = ["ParallelConfig", "parallel_map", "pool_status", "resolve_jobs",
            "shutdown_pool"]
 
 T = TypeVar("T")
 R = TypeVar("R")
-_U = TypeVar("_U")
-_V = TypeVar("_V")
 
 
 @dataclass(frozen=True)
@@ -159,6 +151,17 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
         return _pool
 
 
+def _on_pool(run: Callable[[ThreadPoolExecutor], R], workers: int,
+             nested: bool) -> R:
+    """Call ``run`` with the shared pool, or with a transient pool when
+    called from inside a pool worker, which could otherwise deadlock
+    waiting on its own pool."""
+    if nested:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return run(pool)
+    return run(_get_pool(workers))
+
+
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
                  config: ParallelConfig | None = None) -> list[R]:
     """Apply ``fn`` to every item, possibly in parallel; ordered results.
@@ -182,24 +185,19 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
     if nested and not serial:
         counter_inc("parallel.pool.nested")
 
-    def submit(pool: ThreadPoolExecutor, task: Callable[[_U], _V],
-               payload: Iterable[_U]) -> list[_V]:
-        return list(pool.map(task, payload))
-
     if not tracing_enabled():
         # Untraced fast path: zero instrumentation overhead.
         if serial:
             return [fn(item) for item in items]
-        if nested:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return submit(pool, fn, items)
-        return submit(_get_pool(workers), fn, items)
+        return _on_pool(lambda pool: list(pool.map(fn, items)),
+                        workers, nested)
 
     # Traced path: one parent span for the map, one child span per
     # chunk (emitted from the worker thread), so thread scaling and
-    # per-chunk skew are visible in the trace.  The queue-depth gauge
-    # tracks chunks dispatched but not yet finished; the chunk-latency
-    # histogram feeds the bench gate's p50/p95 check.
+    # per-chunk skew are visible in the trace.  Workers write the
+    # shared registry directly.  The queue-depth gauge tracks chunks
+    # dispatched but not yet finished; the chunk-latency histogram
+    # feeds the bench gate's p50/p95 check.
     counter_inc("parallel.maps")
     counter_inc("parallel.chunks", len(items))
     gauge_add("parallel.queue.depth", len(items))
@@ -214,36 +212,18 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
             observe("parallel.chunk.seconds", time.perf_counter() - t0)
             gauge_add("parallel.queue.depth", -1)
 
-    def run_chunk_pooled(pair: tuple[int, T]) -> "tuple[R, dict | None]":
-        # Pooled tasks capture their metric emissions into a private
-        # task-local registry and ship a compact snapshot frame back
-        # with the result; the parent merges the frames below.  A task
-        # that raises returns no frame, so a failed worker merges
-        # nothing (pool not poisoned).  The chunk-latency observation
-        # and queue-depth decrement happen *outside* the capture: they
-        # are parent-side bookkeeping that must stay live.
-        i, item = pair
-        origin = worker_origin()
-        t0 = time.perf_counter()
+    def run_pooled(pool: ThreadPoolExecutor) -> list[R]:
+        futures = [pool.submit(run_chunk, p) for p in enumerate(items)]
         try:
-            with capture_worker() as local:
-                with span("parallel.chunk", index=i, origin=origin):
-                    result = fn(item)
-            return result, snapshot_frame(local, origin=origin)
+            return [f.result() for f in futures]
         finally:
-            observe("parallel.chunk.seconds", time.perf_counter() - t0)
-            gauge_add("parallel.queue.depth", -1)
+            # After a failed chunk the chunks still queued are cancelled
+            # and never run, so their depth is taken off here.
+            gauge_add("parallel.queue.depth",
+                      -sum(f.cancel() for f in futures))
 
     with span("parallel.map", n_items=len(items),
-              workers=1 if serial else workers, serial=serial) as sp:
+              workers=1 if serial else workers, serial=serial):
         if serial:
             return [run_chunk(p) for p in enumerate(items)]
-        if nested:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                pairs = submit(pool, run_chunk_pooled, enumerate(items))
-        else:
-            pairs = submit(_get_pool(workers), run_chunk_pooled,
-                           enumerate(items))
-        n_merged = merge_frames(frame for _, frame in pairs)
-        sp.add(worker_frames=n_merged)
-        return [result for result, _ in pairs]
+        return _on_pool(run_pooled, workers, nested)

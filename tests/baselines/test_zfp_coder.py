@@ -143,9 +143,10 @@ def test_matches_oracle_property(case):
 
 @given(st.integers(0, 2**31), st.sampled_from(["rate", "accuracy"]))
 def test_corrupt_payload_bits_match_oracle_or_raise(seed, mode):
-    """Flipped payload bits: a fixed-rate stream always decodes, as the
-    oracle does; an accuracy stream either decodes as the oracle does or
-    raises FormatError (never IndexError)."""
+    """Flipped payload bits: a fixed-rate stream decodes as the oracle
+    does unless a flipped exponent leaves the float64 range; an accuracy
+    stream either decodes as the oracle does or raises FormatError
+    (never IndexError)."""
     rng = np.random.default_rng(seed)
     data = _field(seed, (7, 9), "f4")
     kw = {"rate": 6.0} if mode == "rate" else {"tolerance": 1e-2}
@@ -158,8 +159,8 @@ def test_corrupt_payload_bits_match_oracle_or_raise(seed, mode):
                          [meta, kmin, np.packbits(bits).tobytes()])
     try:
         out = zfp_decompress(blob)
-    except FormatError:
-        assert mode == "accuracy"
+    except FormatError as exc:
+        assert mode == "accuracy" or "exponent" in str(exc)
         return
     np.testing.assert_array_equal(out, oracle.decompress(blob))
 
@@ -266,6 +267,22 @@ def test_fixed_rate_bit_count_must_match_blocks():
     bad = _meta(0, b"f4", 8.0, hdr.shape, hdr.padded, hdr.n_bits - 8)
     with pytest.raises(FormatError, match="fixed-rate"):
         zfp_decompress(_container(bad, kmin, payload[:-1]))
+
+
+def test_out_of_range_block_exponent_raises_format_error():
+    # np.frexp of a finite float64 gives -1073..1024; a decoded 2000
+    # used to scale the block to inf with numpy overflow warnings.
+    blob = zfp_compress(_field(5, (8, 8), "f4"), rate=8.0)
+    meta, kmin, payload = _sections(blob)
+    block_bits = 8 * 16
+    bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
+    start = 1 * block_bits  # the second of four 4x4 blocks
+    assert bits[start] == 1  # a nonzero block: flag, then the exponent
+    bits[start + 1 : start + 1 + EBITS] = [
+        (2000 + zfp._EBIAS) >> t & 1 for t in range(EBITS)]
+    hostile = _container(meta, kmin, np.packbits(bits).tobytes())
+    with pytest.raises(FormatError, match="block 1 has exponent 2000"):
+        zfp_decompress(hostile)
 
 
 def test_fewer_bits_than_blocks_raise_format_error():

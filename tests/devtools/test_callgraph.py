@@ -228,15 +228,20 @@ def test_parallel_map_seeds_task_and_transitive_callees():
     assert not p.is_worker_reachable("repro.a.driver")
 
 
-def test_capture_worker_marks_enclosing_function():
+def test_executor_submit_seeds_nested_task():
     p = _project(**{"repro.a": """
-        from repro.observability.aggregate import capture_worker
+        def leaf():
+            return 1
 
-        def task(item):
-            with capture_worker():
-                return item
+        def dispatch(pool, items):
+            def task(item):
+                return leaf()
+
+            return [pool.submit(task, i).result() for i in items]
         """})
-    assert p.is_worker_reachable("repro.a.task")
+    assert "repro.a.dispatch.task" in p.worker_roots
+    assert p.is_worker_reachable("repro.a.leaf")
+    assert not p.is_worker_reachable("repro.a.dispatch")
 
 
 def test_lambda_task_registers_pseudo_function():

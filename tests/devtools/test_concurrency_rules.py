@@ -14,7 +14,7 @@ import textwrap
 import pytest
 
 from repro.devtools.lint import lint_file, resolve_selection
-from repro.devtools.lint.corpus import CORPUS, corpus_stats, run_fixture
+from repro.devtools.lint.corpus import CORPUS, run_fixture
 
 
 def run_rules(tmp_path, select, source, name="fixture.py"):
@@ -46,15 +46,6 @@ def test_corpus_clean_fixtures_never_flag(rule_id):
         assert findings == [], (
             f"{rule_id} corpus fixture {fixture.name!r} is clean but "
             f"flagged: " + "; ".join(f.message for f in findings))
-
-
-def test_corpus_stats_all_pass():
-    stats = corpus_stats()
-    assert set(stats) == {"DPZ801", "DPZ802", "DPZ803", "DPZ804"}
-    for rule_id, entry in stats.items():
-        assert entry["pass"] is True, (rule_id, entry)
-        assert entry["racy_total"] >= 1
-        assert entry["clean_total"] >= 1
 
 
 # -- DPZ801 ------------------------------------------------------------------

@@ -75,33 +75,11 @@ def test_lint_json_schema(tmp_path, capsys):
     assert set(finding) == {"rule", "path", "line", "col", "message"}
     assert finding["rule"] == "DPZ101"
     assert finding["path"].endswith("dirty.py")
-
-
-def test_lint_json_v2_call_graph_and_corpus(tmp_path, capsys):
-    path = _write(tmp_path, "clean.py", CLEAN_SRC)
-    rc = cli.main(["lint", str(path), "--format", "json"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["version"] == 2
-    cg = doc["call_graph"]
-    assert set(cg) == {"modules", "functions", "edges", "worker_roots",
-                       "worker_reachable_functions"}
-    assert cg["modules"] == 1
-    corpus = doc["fixture_corpus"]
-    assert set(corpus) == {"DPZ801", "DPZ802", "DPZ803", "DPZ804"}
-    for entry in corpus.values():
-        assert entry["pass"] is True
-        assert entry["racy_flagged"] == entry["racy_total"]
-        assert entry["clean_false_positives"] == 0
-
-
-def test_lint_corpus_skipped_when_not_selected(tmp_path, capsys):
-    path = _write(tmp_path, "clean.py", CLEAN_SRC)
-    rc = cli.main(["lint", str(path), "--format", "json",
-                   "--select", "DPZ101"])
-    assert rc == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["fixture_corpus"] == {}
+    assert set(doc["call_graph"]) == {
+        "modules", "functions", "edges", "worker_roots",
+        "worker_reachable_functions"}
+    assert doc["call_graph"]["modules"] == 1
+    assert "fixture_corpus" not in doc
 
 
 def test_lint_select_limits_rules(tmp_path, capsys):

@@ -25,8 +25,7 @@ def test_parallel_pool_family_is_registered():
 
 
 def test_telemetry_plane_families_are_registered():
-    assert {"worker.snapshots.merged", "worker.merge.lossy",
-            "profiler.samples"} <= COUNTERS
+    assert "profiler.samples" in COUNTERS
 
 
 def test_serve_family_is_registered():

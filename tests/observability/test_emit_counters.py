@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 
 import numpy as np
@@ -13,6 +14,7 @@ from repro.observability import (
     Tracer,
     counter_inc,
     get_registry,
+    load_trace,
     metrics_snapshot,
     spans_to_ndjson,
     trace_summary,
@@ -52,15 +54,16 @@ def test_ndjson_structure(traced_run, tmp_path):
     assert len(span_lines) == n > 0
     for rec in span_lines:
         assert {"name", "t0", "dur", "span_id", "depth"} <= set(rec)
-    # Compression emits zlib counters, so a counters trailer appears;
-    # the gauge/histogram snapshot (when any) is the final line.
+    # One metrics line, last, carries counters, gauges and histograms.
     trailers = [rec["event"] for rec in lines if rec["event"] != "span"]
-    assert trailers[:2] == ["meta", "counters"]
-    counters = next(rec for rec in lines if rec["event"] == "counters")
-    assert counters["zlib.compress.calls"] >= 1
-    metrics = next(rec for rec in lines if rec["event"] == "metrics")
-    assert lines[-1] is metrics
+    assert trailers == ["meta", "metrics"]
+    metrics = lines[-1]
+    assert metrics["event"] == "metrics"
+    assert metrics["counters"]["zlib.compress.calls"] >= 1
+    assert all(metrics["counters"].values())
     assert "zlib.compress.frame_bytes" in metrics["histograms"]
+    assert all(h["count"] for h in metrics["histograms"].values())
+    assert "dpz.last.cr" in metrics["gauges"]
 
 
 def test_ndjson_covers_all_dpz_stages(traced_run):
@@ -93,10 +96,47 @@ def test_trace_summary_shape(traced_run):
 
 
 def test_spans_to_ndjson_empty_tracer():
-    text = spans_to_ndjson([], meta=None, counters={})
+    text = spans_to_ndjson([], meta=None)
     lines = text.splitlines()
     assert len(lines) == 1
     assert json.loads(lines[0])["event"] == "meta"
+
+
+def test_metrics_line_drops_zero_and_empty_entries():
+    get_registry().counter("x.never")
+    get_registry().histogram("x.empty.seconds")
+    with use_tracer(Tracer()):
+        counter_inc("x.calls")
+    (_, rec) = [json.loads(line)
+                for line in spans_to_ndjson([]).splitlines()]
+    assert rec == {"event": "metrics", "counters": {"x.calls": 1}}
+
+
+def test_load_trace_round_trips_the_metrics_line(traced_run, tmp_path):
+    tracer, _ = traced_run
+    path = tmp_path / "trace.ndjson"
+    write_ndjson(tracer, str(path))
+    trace = load_trace(str(path))
+    assert len(trace["spans"]) == len(tracer.spans)
+    assert trace["metrics"]["counters"]["zlib.compress.calls"] >= 1
+    assert "zlib.compress.frame_bytes" in trace["metrics"]["histograms"]
+
+
+def test_load_trace_reads_a_separate_counters_line():
+    # Traces written before the counters joined the metrics line.
+    old = "\n".join([
+        '{"event": "meta", "format": "repro-trace", "version": 1}',
+        '{"event": "span", "name": "dpz.dct", "t0": 0.0, "dur": 0.5,'
+        ' "span_id": 1, "depth": 0}',
+        '{"event": "counters", "zlib.compress.calls": 3}',
+        '{"event": "metrics", "gauges": {"dpz.last.cr": 7.5}}',
+    ]) + "\n"
+    trace = load_trace(io.StringIO(old))
+    assert [s["name"] for s in trace["spans"]] == ["dpz.dct"]
+    assert trace["metrics"] == {
+        "counters": {"zlib.compress.calls": 3},
+        "gauges": {"dpz.last.cr": 7.5},
+    }
 
 
 def test_counters_gated_on_tracing():

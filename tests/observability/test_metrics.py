@@ -103,6 +103,12 @@ def test_histogram_underflow_and_nonpositive():
     assert h._counts[0] == 3  # all landed in underflow
 
 
+def test_merge_binned_rejects_wrong_bucket_count():
+    hist = MetricsRegistry().histogram("y.seconds")
+    with pytest.raises(ConfigError, match="cannot merge"):
+        hist.merge_binned([1, 2, 3], 6, 1.0)
+
+
 def test_histogram_rejects_bad_config():
     with pytest.raises(ConfigError):
         Histogram("bad", lo=1.0, hi=1.0)
@@ -278,3 +284,24 @@ def test_parallel_map_populates_pool_metrics():
     # Every dispatched chunk finished: the depth gauge is back to zero.
     assert snap["gauges"]["parallel.queue.depth"] == 0.0
     assert snap["histograms"]["parallel.chunk.seconds"]["count"] == 8
+
+
+def test_nested_parallel_map_drains_queue_depth():
+    from repro.parallel.executor import ParallelConfig, parallel_map
+
+    config = ParallelConfig(n_jobs=2, min_chunk=1)
+
+    def outer(x):
+        return sum(parallel_map(lambda y: x * y, list(range(4)),
+                                config=config))
+
+    with use_tracer(Tracer()):
+        out = parallel_map(outer, list(range(4)), config=config)
+    assert out == [6 * x for x in range(4)]
+    snap = metrics_snapshot()
+    # Inner maps run from pool workers; their depth adds and
+    # decrements land in the same gauge as the outer map's.
+    assert snap["gauges"]["parallel.queue.depth"] == 0.0
+    assert snap["counters"]["parallel.maps"] == 5
+    assert snap["counters"]["parallel.pool.nested"] == 4
+    assert snap["histograms"]["parallel.chunk.seconds"]["count"] == 20
