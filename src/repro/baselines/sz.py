@@ -56,7 +56,8 @@ from repro.codecs.zlibc import zlib_compress, zlib_decompress
 from repro.errors import ConfigError, DataShapeError, FormatError
 from repro.observability import counter_inc, gauge_set, observe, span
 
-__all__ = ["SZCompressor", "sz_compress", "sz_decompress", "MODES"]
+__all__ = ["SZCompressor", "sz_compress", "sz_compress_recon",
+           "sz_decompress", "MODES"]
 
 _MAGIC = b"SZR1"
 _VERSION = 1
@@ -146,6 +147,23 @@ class SZCompressor:
 
     def compress(self, data: np.ndarray) -> bytes:
         """Compress an n-D float array to a self-describing byte string."""
+        return self._encode(data)[0]
+
+    def compress_recon(self, data: np.ndarray) -> tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the array the payload decodes to.
+
+        The decoder's own :func:`_reconstruct` runs on the residuals
+        the encoder holds, so the array equals ``decompress(payload)``
+        bit for bit; only the lossless Huffman/zlib round trip is
+        skipped.
+        """
+        blob, head, residuals = self._encode(data)
+        with span("sz.reconstruct", blobs=1):
+            return blob, _reconstruct(head, residuals)
+
+    def _encode(self, data: np.ndarray
+                ) -> tuple[bytes, _Header, np.ndarray]:
+        """The container, its header and the residuals it codes."""
         t_start = time.perf_counter()
         data = np.asarray(data)
         if data.dtype.newbyteorder("=") == np.float32:
@@ -226,7 +244,10 @@ class SZCompressor:
         counter_inc("sz.compress.bytes_out", len(blob))
         gauge_set("sz.last.cr", data.nbytes / max(len(blob), 1))
         observe("sz.compress.seconds", time.perf_counter() - t_start)
-        return blob
+        head = _Header(mode, dtype_tag, eps, self.block_size, data.shape,
+                       tuple(padded_shape), self.alphabet, selectors,
+                       coeffs, payload)
+        return blob, head, residuals
 
     # -- decompression -----------------------------------------------------
 
@@ -338,6 +359,14 @@ def sz_compress(data: np.ndarray, eps: float | None = None, *,
     """One-call SZ compression; see :class:`SZCompressor`."""
     return SZCompressor(eps=eps, rel_eps=rel_eps, mode=mode,
                         block_size=block_size).compress(data)
+
+
+def sz_compress_recon(data: np.ndarray, eps: float | None = None, *,
+                      rel_eps: float | None = None, mode: str = "auto",
+                      block_size: int = 8) -> tuple[bytes, np.ndarray]:
+    """:func:`sz_compress` plus the array the payload decodes to."""
+    return SZCompressor(eps=eps, rel_eps=rel_eps, mode=mode,
+                        block_size=block_size).compress_recon(data)
 
 
 def sz_decompress(blob: bytes) -> np.ndarray:

@@ -62,7 +62,8 @@ from repro.codecs.varint import decode_uvarint, encode_uvarint
 from repro.errors import CodecError, ConfigError, DataShapeError, FormatError
 from repro.observability import counter_inc, gauge_set, observe, span
 
-__all__ = ["ZFPCompressor", "zfp_compress", "zfp_decompress", "ZFP_MODES"]
+__all__ = ["ZFPCompressor", "zfp_compress", "zfp_compress_recon",
+           "zfp_decompress", "ZFP_MODES"]
 
 _MAGIC = b"ZFR1"
 _VERSION = 1
@@ -80,9 +81,10 @@ INTPREC = 54
 #: covering the full float64 exponent range).
 EBITS = 12
 _EBIAS = 1075
-#: The exponents ``np.frexp`` gives a nonzero finite float64 (smallest
-#: subnormal .. largest normal); a block outside them is corrupt.
-_EXP_MIN, _EXP_MAX = -1073, 1024
+#: Per dtype tag, the exponents ``np.frexp`` gives a nonzero finite
+#: value of that dtype (smallest subnormal .. largest normal): all the
+#: encoder can write, so a block outside them is corrupt.
+_EXP_RANGE = {"f4": (-148, 128), "f8": (-1073, 1024)}
 
 
 #: Unpacked bits (one byte each: blocks x 64 planes x coefficients) one
@@ -544,12 +546,42 @@ def _decode_planes(hdr: _Header
     if hdr.block_bits is None and cur != hdr.n_bits:
         raise FormatError(f"ZFP bit stream holds {hdr.n_bits} bits, its "
                           f"blocks {cur}")
-    bad = nonzero & ((exps < _EXP_MIN) | (exps > _EXP_MAX))
+    lo, hi = _EXP_RANGE[hdr.dtype_tag]
+    bad = nonzero & ((exps < lo) | (exps > hi))
     if bad.any():
         b = int(np.argmax(bad))
         raise FormatError(f"ZFP block {b} has exponent {int(exps[b])}, "
-                          f"outside {_EXP_MIN}..{_EXP_MAX}")
+                          f"outside {lo}..{hi} for {hdr.dtype_tag}")
     return u, exps, nonzero
+
+
+def _inverse(hdr: _Header, u: np.ndarray, exps: np.ndarray,
+             nonzero: np.ndarray) -> np.ndarray:
+    """The back half of decoding: every block's negabinary coefficients
+    ``u`` and exponent to the output array.
+
+    :meth:`ZFPCompressor.decompress` and
+    :meth:`ZFPCompressor.compress_recon` both end here, which is what
+    makes the encoder's reconstruction bit-identical to a decode.  A
+    block that decodes beyond the dtype's finite range (garbage planes
+    under an in-range exponent) raises :class:`FormatError`.
+    """
+    d, nb = hdr.ndim, hdr.n_blocks
+    perm = sequency_order(d)
+    inv_perm = np.empty_like(perm)
+    inv_perm[perm] = np.arange(4 ** d)
+    coeff_int = negabinary_to_int(u)[:, inv_perm]
+    q = inv_transform(coeff_int.reshape((nb,) + (4,) * d))
+    with np.errstate(over="ignore"):  # refused below, not returned
+        scale = np.ldexp(1.0, (FRAC_BITS - 1) - exps)
+        blocks = q.astype(np.float64) / scale.reshape((nb,) + (1,) * d)
+        blocks[~nonzero] = 0.0
+        out = merge_blocks(blocks, hdr.padded, hdr.shape).astype(
+            _DTYPES[hdr.dtype_tag])
+    if not np.isfinite(out).all():
+        raise FormatError(f"ZFP stream decodes beyond the finite "
+                          f"{hdr.dtype_tag} range")
+    return out
 
 
 @dataclass(frozen=True)
@@ -605,6 +637,30 @@ class ZFPCompressor:
 
     def compress(self, data: np.ndarray) -> bytes:
         """Compress an n-D (1-3) float array."""
+        return self._encode(data)[0]
+
+    def compress_recon(self, data: np.ndarray) -> tuple[bytes, np.ndarray]:
+        """:meth:`compress`, plus the array the payload decodes to.
+
+        In accuracy and precision modes a block decodes to exactly its
+        coded planes (``kmin`` up), so the planes below ``kmin`` are
+        masked off and :func:`_inverse` -- the decoder's own back half,
+        which also zeroes the zero blocks -- runs on the result: the
+        array equals ``decompress(payload)`` bit for bit.  Fixed rate cuts
+        blocks at their bit budget, so that mode decodes the payload.
+        """
+        blob, hdr, u, exps, live = self._encode(data)
+        if hdr.block_bits is not None:
+            return blob, self.decompress(blob)
+        lost = (np.uint64(1) << hdr.kmin.astype(np.uint64)) - np.uint64(1)
+        kept = np.uint64((1 << INTPREC) - 1) & ~lost
+        with span("zfp.inverse_transform", n_blocks=hdr.n_blocks):
+            return blob, _inverse(hdr, u & kept[:, None], exps, live)
+
+    def _encode(self, data: np.ndarray) -> tuple[
+            bytes, _Header, np.ndarray, np.ndarray, np.ndarray]:
+        """The container, its header, and every block's negabinary
+        coefficients, exponent and live (not zero-block) flag."""
         t_start = time.perf_counter()
         data = np.asarray(data)
         if data.dtype.newbyteorder("=") == np.float32:
@@ -689,7 +745,9 @@ class ZFPCompressor:
         counter_inc("zfp.compress.bytes_out", len(blob))
         gauge_set("zfp.last.cr", data.nbytes / max(len(blob), 1))
         observe("zfp.compress.seconds", time.perf_counter() - t_start)
-        return blob
+        hdr = _Header(self.mode, dtype_tag, d, data.shape, padded_shape, nb,
+                      nbits, block_bits, kmin_all, payload)
+        return blob, hdr, u, exps, ~zero_block
 
     # -- decompression -----------------------------------------------------
 
@@ -700,25 +758,14 @@ class ZFPCompressor:
         counter_inc("zfp.decompress.runs")
         counter_inc("zfp.decompress.bytes_in", len(blob))
         hdr = _read_header(unpack_sections(blob, _MAGIC, _VERSION))
-        d, nb = hdr.ndim, hdr.n_blocks
-        size = 4 ** d
         with span("zfp.bitplane_decode", bytes_in=len(hdr.payload),
-                  n_blocks=nb, mode=hdr.mode):
+                  n_blocks=hdr.n_blocks, mode=hdr.mode):
             u, exps, nonzero = _decode_planes(hdr)
-
-        with span("zfp.inverse_transform", n_blocks=nb) as sp:
-            perm = sequency_order(d)
-            inv_perm = np.empty_like(perm)
-            inv_perm[perm] = np.arange(size)
-            coeff_int = negabinary_to_int(u)[:, inv_perm]
-            q = inv_transform(coeff_int.reshape((nb,) + (4,) * d))
-            scale = np.ldexp(1.0, (FRAC_BITS - 1) - exps)
-            blocks = q.astype(np.float64) / scale.reshape((nb,) + (1,) * d)
-            blocks[~nonzero] = 0.0
-            out = merge_blocks(blocks, hdr.padded, hdr.shape)
+        with span("zfp.inverse_transform", n_blocks=hdr.n_blocks) as sp:
+            out = _inverse(hdr, u, exps, nonzero)
             sp.add(bytes_out=int(out.nbytes))
         observe("zfp.decompress.seconds", time.perf_counter() - t_start)
-        return out.astype(_DTYPES[hdr.dtype_tag])
+        return out
 
 
 def zfp_compress(data: np.ndarray, *, rate: float | None = None,
@@ -727,6 +774,15 @@ def zfp_compress(data: np.ndarray, *, rate: float | None = None,
     """One-call ZFP compression; see :class:`ZFPCompressor`."""
     return ZFPCompressor(rate=rate, precision=precision,
                          tolerance=tolerance).compress(data)
+
+
+def zfp_compress_recon(data: np.ndarray, *, rate: float | None = None,
+                       precision: int | None = None,
+                       tolerance: float | None = None
+                       ) -> tuple[bytes, np.ndarray]:
+    """:func:`zfp_compress` plus the array the payload decodes to."""
+    return ZFPCompressor(rate=rate, precision=precision,
+                         tolerance=tolerance).compress_recon(data)
 
 
 def zfp_decompress(blob: bytes) -> np.ndarray:

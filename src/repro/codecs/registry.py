@@ -25,6 +25,15 @@ batches into one lockstep pass) uses it; any other maps
 ``decompress`` over the payloads, so dpz, zfp and user codecs need
 nothing new.  The chunked store calls it once per codec per read.
 
+Encode with reconstruction: :meth:`CodecSpec.compress_recon` returns
+``(payload, recon)`` where ``recon`` equals ``decompress(payload)``
+bit for bit.  A codec registered with a ``compress_recon=`` callable
+(SZ; ZFP's accuracy and precision modes) builds ``recon`` from what
+its encoder already holds, without decoding; any other compresses
+and then decompresses.  ``codec="auto"`` in the chunked store checks
+its error budget on ``recon``, so a pack decodes no payload of such
+a codec.
+
 Failure contract: duplicate registration and unknown-id lookup both
 raise :class:`~repro.errors.ConfigError` naming the known ids --
 never a bare ``KeyError``.
@@ -43,6 +52,7 @@ from repro.errors import ConfigError
 
 __all__ = [
     "CompressFn",
+    "CompressReconFn",
     "DecompressFn",
     "DecompressManyFn",
     "CodecSpec",
@@ -67,6 +77,10 @@ DecompressFn = Callable[[bytes], "np.ndarray[Any, np.dtype[Any]]"]
 DecompressManyFn = Callable[[Sequence[bytes]],
                             "list[np.ndarray[Any, np.dtype[Any]]]"]
 
+#: ``compress_recon(data, **kwargs) -> (payload, decompress(payload))``.
+CompressReconFn = Callable[...,
+                           "tuple[bytes, np.ndarray[Any, np.dtype[Any]]]"]
+
 #: Registration kinds, used for documentation / filtering only.
 KINDS = ("lossy", "lossless", "filter")
 
@@ -83,6 +97,8 @@ class CodecSpec:
     source: str = "user"
     #: Batch decoder; ``None`` maps :attr:`decompress` over the payloads.
     batch: DecompressManyFn | None = None
+    #: Encoder that also returns its reconstruction; ``None`` decodes.
+    recon: CompressReconFn | None = None
 
     pair: tuple[CompressFn, DecompressFn] = field(init=False)
 
@@ -95,6 +111,14 @@ class CodecSpec:
         if self.batch is not None:
             return self.batch(payloads)
         return [self.decompress(p) for p in payloads]
+
+    def compress_recon(self, data: Any, **kwargs: Any
+                       ) -> "tuple[bytes, np.ndarray[Any, np.dtype[Any]]]":
+        """``(payload, decompress(payload))``, bit for bit."""
+        if self.recon is not None:
+            return self.recon(data, **kwargs)
+        payload = self.compress(data, **kwargs)
+        return payload, self.decompress(payload)
 
 
 # Reentrant: _ensure_builtins holds it while importing modules whose
@@ -127,12 +151,15 @@ def register_codec(name: str, compress: CompressFn,
                    decompress: DecompressFn, *, kind: str = "lossy",
                    source: str = "user",
                    decompress_many: DecompressManyFn | None = None,
+                   compress_recon: CompressReconFn | None = None,
                    overwrite: bool = False) -> CodecSpec:
     """Register ``(compress, decompress)`` under ``name``.
 
     ``kind`` is ``"lossy"``, ``"lossless"`` or ``"filter"``.
     ``decompress_many``, if given, must equal ``decompress`` mapped
-    over its payloads, only faster.  A second
+    over its payloads, only faster; ``compress_recon``, if given, must
+    return ``compress``'s payload and an array equal to
+    ``decompress(payload)`` bit for bit.  A second
     registration of the same id raises
     :class:`~repro.errors.ConfigError` unless ``overwrite=True`` (the
     escape hatch for tests and deliberate codec shadowing).
@@ -147,7 +174,7 @@ def register_codec(name: str, compress: CompressFn,
             f"use one of {KINDS}")
     spec = CodecSpec(name=name, compress=compress,
                      decompress=decompress, kind=kind, source=source,
-                     batch=decompress_many)
+                     batch=decompress_many, recon=compress_recon)
     with _LOCK:
         if name in _REGISTRY and not overwrite:
             raise ConfigError(

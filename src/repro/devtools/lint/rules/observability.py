@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Iterator
+from typing import Collection, Iterator
 
 from repro.devtools.lint.engine import FileContext, Finding
 from repro.devtools.lint.registry import rule
@@ -125,7 +125,10 @@ def check_metric_catalog(ctx: FileContext) -> Iterator[Finding]:
                 f"the typo")
 
 
-def _satisfies_span(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
+def _satisfies_span(fn: ast.FunctionDef | ast.AsyncFunctionDef,
+                    traced: Collection[str] = ()) -> bool:
+    """True when ``fn`` opens a span, delegates to an entry point, or
+    calls ``self.<m>()`` for a method ``m`` in ``traced``."""
     for node in ast.walk(fn):
         if not isinstance(node, ast.Call):
             continue
@@ -135,6 +138,12 @@ def _satisfies_span(fn: ast.FunctionDef | ast.AsyncFunctionDef) -> bool:
         # though its receiver has no dotted name.
         if isinstance(node.func, ast.Attribute) \
                 and node.func.attr in _ENTRY_METHODS:
+            return True
+        # So does a same-class helper that opens one itself.
+        if isinstance(node.func, ast.Attribute) \
+                and isinstance(node.func.value, ast.Name) \
+                and node.func.value.id == "self" \
+                and node.func.attr in traced:
             return True
         if isinstance(node.func, ast.Name) \
                 and node.func.id in _ENTRY_METHODS:
@@ -168,6 +177,10 @@ def check_span_coverage(ctx: FileContext) -> Iterator[Finding]:
         return
     if not ctx.in_layer(*SPAN_LAYERS):
         return
+    traced: dict[str, set[str]] = {}  # class -> methods that open a span
+    for fn, stack in walk_functions(ctx.tree):
+        if stack and _satisfies_span(fn):
+            traced.setdefault(stack[-1], set()).add(fn.name)
     for fn, stack in walk_functions(ctx.tree):
         if fn.name.startswith("_"):
             continue
@@ -177,7 +190,8 @@ def check_span_coverage(ctx: FileContext) -> Iterator[Finding]:
                 continue
         elif not (_ENTRY_FN.match(fn.name) and not stack):
             continue
-        if not _satisfies_span(fn):
+        if not _satisfies_span(fn, traced.get(stack[-1], ()) if stack
+                               else ()):
             yield ctx.finding(
                 "DPZ501", fn,
                 f"{fn.name}() is a public codec entry point but opens "

@@ -16,8 +16,11 @@ asks for more workers than the current pool has.  Spinning up threads
 per stage call costs ~100us each; a pipeline with several parallel
 stages per field pays that once instead of per stage.  Pool reuse is
 observable through the ``parallel.pool.created`` / ``parallel.pool.reused``
-counters.  Calls made *from inside* a pool worker (nested parallelism)
-use a transient pool so they cannot deadlock waiting on their own pool.
+counters.  A map called *from inside* a pool worker (nested
+parallelism) runs inline on that worker: the outer map already keeps
+every CPU busy, and a nested map that queued on the shared pool could
+deadlock waiting on its own pool.  Such calls count
+``parallel.pool.nested``.
 
 Results are always returned in task order regardless of completion
 order, so callers can concatenate chunk outputs directly.
@@ -151,17 +154,6 @@ def _get_pool(workers: int) -> ThreadPoolExecutor:
         return _pool
 
 
-def _on_pool(run: Callable[[ThreadPoolExecutor], R], workers: int,
-             nested: bool) -> R:
-    """Call ``run`` with the shared pool, or with a transient pool when
-    called from inside a pool worker, which could otherwise deadlock
-    waiting on its own pool."""
-    if nested:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return run(pool)
-    return run(_get_pool(workers))
-
-
 def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
                  config: ParallelConfig | None = None) -> list[R]:
     """Apply ``fn`` to every item, possibly in parallel; ordered results.
@@ -181,16 +173,15 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
         # amortize pool dispatch -- the tiny-list bypass fired.
         counter_inc("parallel.map.bypassed")
 
-    nested = _in_worker.flag
-    if nested and not serial:
+    if _in_worker.flag and not serial:
         counter_inc("parallel.pool.nested")
+        serial = True  # inline: the outer map already fills the CPUs
 
     if not tracing_enabled():
         # Untraced fast path: zero instrumentation overhead.
         if serial:
             return [fn(item) for item in items]
-        return _on_pool(lambda pool: list(pool.map(fn, items)),
-                        workers, nested)
+        return list(_get_pool(workers).map(fn, items))
 
     # Traced path: one parent span for the map, one child span per
     # chunk (emitted from the worker thread), so thread scaling and
@@ -226,4 +217,4 @@ def parallel_map(fn: Callable[[T], R], items: Sequence[T], *,
               workers=1 if serial else workers, serial=serial):
         if serial:
             return [run_chunk(p) for p in enumerate(items)]
-        return _on_pool(run_pooled, workers, nested)
+        return run_pooled(_get_pool(workers))

@@ -9,13 +9,18 @@ chunk:
 
 1. **trial**: compress a deterministic sampled plane of the chunk with
    each candidate (SZ at ``eps=budget``, ZFP at ``tolerance=budget``,
-   DPZ-s), decode it, and discard candidates whose plane error exceeds
-   the budget;
+   DPZ-s) and discard candidates whose plane error exceeds the budget;
 2. **rank** the survivors by trial compressed size (best ratio first);
 3. **verify**: compress the full chunk with the winner and check the
    *actual* max absolute error against the budget; on violation fall
    through to the next candidate, and ultimately to the lossless
    ``raw`` codec, which satisfies any budget by construction.
+
+Steps 1 and 3 measure the error on the array the payload decodes to,
+as :meth:`~repro.codecs.registry.CodecSpec.compress_recon` returns it:
+SZ and ZFP build it from their encoder's own lattice and kept bit
+planes, bit-identical to a decode, so a pack decodes no SZ or ZFP
+payload; DPZ (no such encoder) compresses and then decodes.
 
 Step 3 is what turns a heuristic into a guarantee: whatever the trial
 plane missed, no chunk ever leaves ``compress_chunk_auto`` violating
@@ -28,16 +33,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.codecs.registry import codec_functions
+from repro.codecs.registry import CompressReconFn, get_codec
 from repro.errors import ConfigError, ReproError
 from repro.observability import counter_inc
 from repro.store.basis import BasisCache, compress_dpz
 
 __all__ = ["AUTO_CANDIDATES", "candidate_kwargs", "trial_plane",
            "compress_chunk_auto"]
-
-CompressFn = Callable[..., bytes]
-DecompressFn = Callable[[bytes], "np.ndarray[Any, np.dtype[Any]]"]
 
 #: Candidate codecs tried by ``codec="auto"``, in declaration order.
 AUTO_CANDIDATES: tuple[str, ...] = ("sz", "zfp", "dpz")
@@ -66,8 +68,9 @@ def candidate_kwargs(codec: str, budget: float) -> dict[str, Any]:
             f"candidates are {AUTO_CANDIDATES}") from None
 
 
-def _fns(codec: str) -> tuple[CompressFn, DecompressFn]:
-    return codec_functions(codec)
+def _encoder(codec: str) -> CompressReconFn:
+    """``(data, **kwargs) -> (payload, decompress(payload))`` for a codec."""
+    return get_codec(codec).compress_recon
 
 
 def trial_plane(chunk: "np.ndarray[Any, np.dtype[Any]]"
@@ -110,29 +113,26 @@ def compress_chunk_auto(chunk: "np.ndarray[Any, np.dtype[Any]]",
     plane = trial_plane(chunk)
     ranked: list[tuple[int, str]] = []
     for codec in AUTO_CANDIDATES:
-        compress, decompress = _fns(codec)
         counter_inc("store.auto.trials")
         try:
-            blob = compress(plane, **candidate_kwargs(codec, budget))
-            recon = decompress(blob)
+            blob, recon = _encoder(codec)(plane,
+                                          **candidate_kwargs(codec, budget))
         except ReproError:
             continue  # candidate cannot represent this plane at all
         if _max_abs_err(plane, recon) <= budget:
             ranked.append((len(blob), codec))
     ranked.sort()
     for _, codec in ranked:
-        compress, decompress = _fns(codec)
+        kwargs = candidate_kwargs(codec, budget)
         try:
             if codec == "dpz" and basis_cache is not None:
-                payload = compress_dpz(chunk, basis_cache,
-                                       **candidate_kwargs(codec, budget))
+                payload = compress_dpz(chunk, basis_cache, **kwargs)
+                recon = get_codec(codec).decompress(payload)
             else:
-                payload = compress(chunk, **candidate_kwargs(codec, budget))
-            recon = decompress(payload)
+                payload, recon = _encoder(codec)(chunk, **kwargs)
         except ReproError:
             continue
         if _max_abs_err(chunk, recon) <= budget:
             return codec, payload
         counter_inc("store.auto.fallbacks")
-    raw_compress, _ = _fns("raw")
-    return "raw", raw_compress(chunk)
+    return "raw", get_codec("raw").compress(chunk)

@@ -144,9 +144,9 @@ def test_matches_oracle_property(case):
 @given(st.integers(0, 2**31), st.sampled_from(["rate", "accuracy"]))
 def test_corrupt_payload_bits_match_oracle_or_raise(seed, mode):
     """Flipped payload bits: a fixed-rate stream decodes as the oracle
-    does unless a flipped exponent leaves the float64 range; an accuracy
-    stream either decodes as the oracle does or raises FormatError
-    (never IndexError)."""
+    does unless a flipped exponent leaves the float32 range or a block
+    decodes beyond it; an accuracy stream either decodes as the oracle
+    does or raises FormatError (never IndexError)."""
     rng = np.random.default_rng(seed)
     data = _field(seed, (7, 9), "f4")
     kw = {"rate": 6.0} if mode == "rate" else {"tolerance": 1e-2}
@@ -160,7 +160,8 @@ def test_corrupt_payload_bits_match_oracle_or_raise(seed, mode):
     try:
         out = zfp_decompress(blob)
     except FormatError as exc:
-        assert mode == "accuracy" or "exponent" in str(exc)
+        assert (mode == "accuracy" or "exponent" in str(exc)
+                or "finite" in str(exc))
         return
     np.testing.assert_array_equal(out, oracle.decompress(blob))
 
@@ -269,19 +270,45 @@ def test_fixed_rate_bit_count_must_match_blocks():
         zfp_decompress(_container(bad, kmin, payload[:-1]))
 
 
-def test_out_of_range_block_exponent_raises_format_error():
-    # np.frexp of a finite float64 gives -1073..1024; a decoded 2000
-    # used to scale the block to inf with numpy overflow warnings.
-    blob = zfp_compress(_field(5, (8, 8), "f4"), rate=8.0)
+def _with_block_exponent(dtype: str, exponent: int,
+                         garbage: bool = False) -> bytes:
+    """A fixed-rate 8x8 stream whose second block carries ``exponent``;
+    ``garbage`` also sets every plane bit of that block."""
+    blob = zfp_compress(_field(5, (8, 8), dtype), rate=8.0)
     meta, kmin, payload = _sections(blob)
     block_bits = 8 * 16
     bits = np.unpackbits(np.frombuffer(payload, dtype=np.uint8))
     start = 1 * block_bits  # the second of four 4x4 blocks
     assert bits[start] == 1  # a nonzero block: flag, then the exponent
     bits[start + 1 : start + 1 + EBITS] = [
-        (2000 + zfp._EBIAS) >> t & 1 for t in range(EBITS)]
-    hostile = _container(meta, kmin, np.packbits(bits).tobytes())
+        (exponent + zfp._EBIAS) >> t & 1 for t in range(EBITS)]
+    if garbage:
+        bits[start + 1 + EBITS : start + block_bits] = 1
+    return _container(meta, kmin, np.packbits(bits).tobytes())
+
+
+def test_out_of_range_block_exponent_raises_format_error():
+    # np.frexp of a finite float64 gives -1073..1024; a decoded 2000
+    # used to scale the block to inf with numpy overflow warnings.
     with pytest.raises(FormatError, match="block 1 has exponent 2000"):
+        zfp_decompress(_with_block_exponent("f8", 2000))
+
+
+@pytest.mark.parametrize("exponent", [200, -1000])
+def test_exponent_outside_float32_range_raises_format_error(exponent):
+    """In float64's range, but no finite float32 has it: the decoder
+    checks the stream's own dtype, -148..128 for float32."""
+    with pytest.raises(FormatError, match=f"block 1 has exponent "
+                                          f"{exponent}, outside -148..128"):
+        zfp_decompress(_with_block_exponent("f4", exponent))
+
+
+@pytest.mark.parametrize("dtype, exponent", [("f4", 128), ("f8", 1024)])
+def test_block_decoded_beyond_finite_range_raises_format_error(dtype,
+                                                               exponent):
+    """An in-range exponent over garbage planes would overflow to inf."""
+    hostile = _with_block_exponent(dtype, exponent, garbage=True)
+    with pytest.raises(FormatError, match=f"beyond the finite {dtype}"):
         zfp_decompress(hostile)
 
 

@@ -295,6 +295,35 @@ def test_dpz501_accepts_span_and_delegation(tmp_path):
     assert findings == []
 
 
+def test_dpz501_accepts_traced_same_class_helper(tmp_path):
+    # compress -> self._encode counts when _encode opens a span itself;
+    # a helper that opens none (or another class's) does not.
+    src = """\
+        # dpzlint: module=repro.baselines.fake
+        from repro.observability import span
+
+        class FakeCompressor:
+            def compress(self, data):
+                return self._encode(data)
+
+            def decompress(self, blob):
+                return self._plain(blob)
+
+            def _encode(self, data):
+                with span("fake.encode"):
+                    return bytes(data)
+
+            def _plain(self, blob):
+                return blob
+
+        class OtherCompressor:
+            def compress(self, data):
+                return self._encode(data)
+    """
+    findings, _ = run_rule(tmp_path, "DPZ501", src)
+    assert sorted(f.line for f in findings) == [8, 19]
+
+
 def test_dpz501_helper_call_is_not_delegation(tmp_path):
     # zlib_compress matches the `*_compress` naming pattern but is NOT
     # a traced entry point; calling it must not satisfy the rule.

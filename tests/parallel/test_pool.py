@@ -13,6 +13,7 @@ from repro.observability import (
     metrics_snapshot,
     use_tracer,
 )
+from repro.parallel import executor
 from repro.parallel.executor import (
     ParallelConfig,
     parallel_map,
@@ -97,6 +98,33 @@ def test_nested_parallel_map_does_not_deadlock():
     assert got == [6 * i for i in range(6)]
 
 
+def test_three_level_nested_map_returns():
+    """A 4x4x4 nested map finishes: the maps its pool workers call run
+    inline, so no task waits on a pool that its own caller fills."""
+    cfg = ParallelConfig(n_jobs=2, min_chunk=1)
+
+    def level(depth):
+        def run(i):
+            if depth == 0:
+                return i
+            return sum(parallel_map(level(depth - 1), range(4), config=cfg))
+        return run
+
+    got = []
+    t = threading.Thread(
+        target=lambda: got.append(parallel_map(level(2), range(4),
+                                               config=cfg)),
+        daemon=True)
+    t.start()
+    t.join(timeout=20)
+    if t.is_alive():
+        # Cancel the queued tasks so the stuck workers unwind and the
+        # test run can still exit.
+        executor._pool.shutdown(wait=False, cancel_futures=True)
+        pytest.fail("nested 4x4x4 parallel_map still running after 20 s")
+    assert got == [[4 * 6] * 4]
+
+
 def test_exceptions_propagate_in_task_order():
     cfg = ParallelConfig(n_jobs=2, min_chunk=1)
 
@@ -131,7 +159,7 @@ def test_shutdown_pool_allows_fresh_start():
 
 
 def test_pool_survives_worker_thread_reentry():
-    """Worker threads route nested maps through transient pools."""
+    """Worker threads run nested maps inline, on the worker itself."""
     cfg = ParallelConfig(n_jobs=2, min_chunk=1)
     seen = []
 
@@ -145,6 +173,7 @@ def test_pool_survives_worker_thread_reentry():
     with use_tracer(Tracer()):
         got = parallel_map(outer, [10, 20], config=cfg)
     assert got == [[10, 11], [20, 21]]
+    assert seen and all(n.startswith("repro-parallel") for n in seen)
     counters = metrics_snapshot()["counters"]
     assert counters.get("parallel.pool.nested", 0) >= 1
     # Shared pool was created exactly once (outer call).

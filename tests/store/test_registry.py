@@ -88,6 +88,35 @@ class TestRegistration:
         assert spec.pair == (spec.compress, spec.decompress)
         assert spec.kind == "lossless"
 
+    def test_compress_recon_without_member_decodes(self, xor_codec, rng):
+        """A codec registered without ``compress_recon=`` compresses and
+        then decompresses, so user codecs need nothing new."""
+        spec = get_codec(xor_codec)
+        assert spec.recon is None
+        data = rng.normal(size=(5, 3)).astype("<f4")
+        payload, recon = spec.compress_recon(data)
+        assert payload == _xor_compress(data)
+        np.testing.assert_array_equal(recon, _xor_decompress(payload))
+
+    def test_compress_recon_member_is_called(self, rng):
+        calls = []
+
+        def recon_fn(data, **kw):
+            calls.append(kw)
+            payload = _xor_compress(data)
+            return payload, _xor_decompress(payload)
+
+        register_codec("recon-test", _xor_compress, _xor_decompress,
+                       compress_recon=recon_fn)
+        try:
+            data = rng.normal(size=(4,)).astype("<f4")
+            payload, recon = get_codec("recon-test").compress_recon(
+                data, eps=1.0)
+        finally:
+            unregister_codec("recon-test")
+        assert calls == [{"eps": 1.0}]
+        np.testing.assert_array_equal(recon, data)
+
 
 class TestLookup:
     def test_unknown_id_raises_with_known_ids(self):

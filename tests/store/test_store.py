@@ -360,16 +360,14 @@ class TestAutoSelection:
         raw_compress, raw_decompress = codec_functions("raw")
 
         def off_by_one(data, **kw):
-            return raw_compress(np.asarray(data) + 1.0)
+            shifted = np.asarray(data) + 1.0
+            return raw_compress(shifted), shifted
 
-        real_fns = select._fns
+        def fake_encoder(name):
+            assert name in AUTO_CANDIDATES
+            return off_by_one
 
-        def fake_fns(name):
-            if name in AUTO_CANDIDATES:
-                return off_by_one, raw_decompress
-            return real_fns(name)
-
-        monkeypatch.setattr(select, "_fns", fake_fns)
+        monkeypatch.setattr(select, "_encoder", fake_encoder)
         codec, payload = compress_chunk_auto(chunk, 1e-6)
         assert codec == "raw"
         np.testing.assert_array_equal(raw_decompress(payload), chunk)
