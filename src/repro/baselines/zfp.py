@@ -573,8 +573,8 @@ def _inverse(hdr: _Header, u: np.ndarray, exps: np.ndarray,
     coeff_int = negabinary_to_int(u)[:, inv_perm]
     q = inv_transform(coeff_int.reshape((nb,) + (4,) * d))
     with np.errstate(over="ignore"):  # refused below, not returned
-        scale = np.ldexp(1.0, (FRAC_BITS - 1) - exps)
-        blocks = q.astype(np.float64) / scale.reshape((nb,) + (1,) * d)
+        blocks = np.ldexp(q.astype(np.float64),
+                          (exps - (FRAC_BITS - 1)).reshape((nb,) + (1,) * d))
         blocks[~nonzero] = 0.0
         out = merge_blocks(blocks, hdr.padded, hdr.shape).astype(
             _DTYPES[hdr.dtype_tag])
@@ -696,9 +696,12 @@ class ZFPCompressor:
 
             _, exps = np.frexp(maxabs)
             exps = exps.astype(np.int64)  # maxabs in [2**(e-1), 2**e)
-            scale = np.ldexp(1.0, (FRAC_BITS - 1) - exps)
-            q = np.rint(blocks
-                        * scale.reshape((nb,) + (1,) * d)).astype(np.int64)
+            # Scale each block straight to FRAC_BITS - 1 fixed-point
+            # bits: 2**((FRAC_BITS - 1) - e) alone overflows for a tiny
+            # block (e < -980), the product never does.
+            q = np.rint(np.ldexp(
+                blocks, ((FRAC_BITS - 1) - exps).reshape((nb,) + (1,) * d)
+            )).astype(np.int64)
             coeffs = fwd_transform(q).reshape(nb, size)[:, sequency_order(d)]
             u = int_to_negabinary(coeffs).astype(np.uint64)
 

@@ -693,32 +693,6 @@ def _cmd_list(args) -> int:
     return 0
 
 
-def _parse_region_spec(spec: str) -> tuple:
-    """Parse ``"0:16,8:24,3"`` into a tuple of slices and ints."""
-    sels: list = []
-    for part in spec.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, _, hi = part.partition(":")
-            try:
-                sels.append(slice(int(lo) if lo else None,
-                                  int(hi) if hi else None))
-            except ValueError:
-                raise _CLIError(
-                    f"bad region selector {part!r} (want START:STOP "
-                    f"or an integer index)") from None
-        elif part:
-            try:
-                sels.append(int(part))
-            except ValueError:
-                raise _CLIError(
-                    f"bad region selector {part!r} (want START:STOP "
-                    f"or an integer index)") from None
-        else:
-            raise _CLIError(f"empty selector in region spec {spec!r}")
-    return tuple(sels)
-
-
 def _parse_chunk(values):
     """``--chunk`` values -> ``Store.add`` chunk_shape argument."""
     if not values:
@@ -793,7 +767,9 @@ def _cmd_store(args) -> int:
               f"dtype {data.dtype}")
         return 0
     # region
-    region = _parse_region_spec(args.region)
+    from repro.serve.protocol import parse_slices
+
+    region = parse_slices(args.region)
     data = store.get_region(args.name, region)
     save_field(args.output, data)
     print(f"extracted {args.name}[{args.region}]: shape {data.shape}, "

@@ -13,7 +13,8 @@ Modules map one-to-one onto the stages:
 * :mod:`repro.core.config` -- :class:`DPZConfig` and the paper's two
   schemes (DPZ-l, DPZ-s).
 * :mod:`repro.core.decompose` -- stage 1a.
-* :mod:`repro.core.transform_stage` -- stage 1b.
+* :mod:`repro.core.encode` -- stage 1b (DCT-II, or the wavelet and
+  identity variants) and the optional pre-PCA truncation.
 * :mod:`repro.core.kpca` -- stage 2 (Alg. 1: knee-point / TVE).
 * :mod:`repro.core.quantize` -- stage 3.
 * :mod:`repro.core.stream` -- container serialization.

@@ -159,11 +159,11 @@ class DPZCompressor:
         if rng == 0.0:
             rng = 1.0
         work = (data.astype(np.float64) - dmin) / rng - 0.5
-        blocks, _ = decompose(work, cfg.max_ratio)
+        blocks, _ = decompose(work)
         coeffs = forward_transform(blocks, cfg.transform, cfg.n_jobs)
         return sampling_probe(
             coeffs.T, tve=cfg.tve, subsets=cfg.sampling_subsets,
-            picks=cfg.sampling_picks, sampling_rate=cfg.sampling_rate,
+            sampling_rate=cfg.sampling_rate,
             orig_nbytes=int(data.nbytes),
         )
 
@@ -216,7 +216,7 @@ class DPZCompressor:
 
         # Stage 1a: decomposition.
         with _stage(stats, "decompose", bytes_in=stats.original_nbytes) as sp:
-            blocks, plan = decompose(work, cfg.max_ratio)
+            blocks, plan = decompose(work)
             sp.add(m_blocks=plan.m_blocks, n_points=plan.n_points,
                    bytes_out=int(blocks.nbytes))
         stats.m_blocks, stats.n_points = plan.m_blocks, plan.n_points
@@ -245,7 +245,6 @@ class DPZCompressor:
                 shared_cov = (features.T @ features) / (features.shape[0] - 1)
                 report = sampling_probe(
                     features, tve=cfg.tve, subsets=cfg.sampling_subsets,
-                    picks=cfg.sampling_picks,
                     sampling_rate=cfg.sampling_rate,
                     orig_nbytes=stats.original_nbytes, cov=shared_cov,
                 )
@@ -315,7 +314,6 @@ class DPZCompressor:
                         features, k_mode=cfg.k_mode, tve=cfg.tve,
                         knee_fit=cfg.knee_fit, fixed_k=cfg.fixed_k,
                         standardize=standardize, compute_scores=False,
-                        solver=cfg.pca_solver,
                     )
                     pca, k, tve_at_k = res.pca, res.k, res.tve_at_k
                 # Round the basis to its stored (float32) precision
@@ -343,10 +341,9 @@ class DPZCompressor:
                        .astype(np.float32))
 
         # Stage 3: quantization.  Scores live in normalized-data units,
-        # so 'range' mode uses p directly and 'absolute' converts.
+        # so the range-relative p applies to them directly.
         with _stage(stats, "quantize", bytes_in=int(scores.nbytes),
                     n_bins=cfg.n_bins) as sp:
-            p = cfg.p if cfg.p_mode == "range" else cfg.p / rng
             # Standardization rescales features to unit variance,
             # inflating score magnitudes far past the quantizer's fixed
             # range; bring them back with a stored global divisor so
@@ -355,11 +352,11 @@ class DPZCompressor:
             score_scale = 1.0
             if standardize and scores.size:
                 spread = float(np.percentile(np.abs(scores), 99.0))
-                target = 0.9 * p * cfg.n_bins
+                target = 0.9 * cfg.p * cfg.n_bins
                 if spread > target:
                     score_scale = spread / target
             out_dtype = np.float64 if cfg.store_outliers_f64 else np.float32
-            q = quantize_scores(scores / score_scale, p, cfg.n_bins,
+            q = quantize_scores(scores / score_scale, cfg.p, cfg.n_bins,
                                 outlier_dtype=out_dtype)
             sp.add(bytes_out=int(q.indices.nbytes + q.outliers.nbytes),
                    outlier_fraction=round(q.outlier_fraction, 6))
@@ -370,7 +367,7 @@ class DPZCompressor:
                     bytes_in=int(q.indices.nbytes + q.outliers.nbytes)) as sp:
             archive = DPZArchive(
                 shape=tuple(data.shape), dtype_tag=dtype_tag,
-                m_blocks=plan.m_blocks, n_points=plan.n_points, k=k, p=p,
+                m_blocks=plan.m_blocks, n_points=plan.n_points, k=k, p=cfg.p,
                 n_bins=cfg.n_bins, index_bytes=cfg.index_bytes,
                 standardized=standardize, norm_offset=dmin, norm_scale=rng,
                 score_scale=score_scale, transform=cfg.transform,
@@ -403,7 +400,7 @@ class DPZCompressor:
                     stats.correction_fraction = bad.size / data.size
 
             with span("dpz.serialize") as ssp:
-                blob, sizes = serialize(archive, cfg.zlib_level)
+                blob, sizes = serialize(archive)
                 ssp.add(bytes_out=len(blob),
                         sec_meta=sizes.meta, sec_components=sizes.components,
                         sec_mean_scale=sizes.mean_scale,

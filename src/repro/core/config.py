@@ -21,10 +21,8 @@ from repro.errors import ConfigError
 __all__ = ["DPZConfig", "DPZ_L", "DPZ_S"]
 
 _K_MODES = ("knee", "tve", "fixed")
-_PCA_SOLVERS = ("auto", "dense", "randomized")
 _KNEE_FITS = ("1d", "polyn")
 _STANDARDIZE = ("auto", "always", "never")
-_P_MODES = ("absolute", "range")
 
 
 @dataclass(frozen=True)
@@ -35,15 +33,11 @@ class DPZConfig:
     ----------
     p:
         Stage-3 quantizer error bound ``P`` (paper: 1e-3 loose /
-        1e-4 strict).  Applies to in-range k-PCA scores.
-    p_mode:
-        DPZ (like its predecessor DCTZ) normalizes the input to unit
-        range before stage 1, so with the default ``'range'`` the bound
-        ``p`` is *range-relative*: one config is portable across
-        datasets of any magnitude, and the mean relative error theta
-        scales directly with ``p``.  ``'absolute'`` instead interprets
-        ``p`` in raw data units (it is divided by the data range
-        internally).
+        1e-4 strict).  Applies to in-range k-PCA scores.  DPZ (like
+        its predecessor DCTZ) normalizes the input to unit range
+        before stage 1, so ``p`` is *range-relative*: one config is
+        portable across datasets of any magnitude, and the mean
+        relative error theta scales directly with ``p``.
     index_bytes:
         1 or 2; bin indices are stored as uint8/uint16.  Sets the bin
         count ``B = 2**(8*index_bytes) - 1`` (one code reserved for the
@@ -63,18 +57,12 @@ class DPZConfig:
         ``'auto'`` standardizes features only when the sampling VIF
         probe reports low linearity (paper Alg. 2 step 2); ``'always'``
         / ``'never'`` override.
-    pca_solver:
-        Stage-2 eigensolver: ``'dense'`` (the exact paths), ``'randomized'``
-        (seeded Halko range finder with an exactness fallback) or
-        ``'auto'`` (randomized where it wins; see
-        :func:`repro.core.kpca.fit_kpca`).
     use_sampling:
         Estimate ``k`` from subset PCA (Alg. 2) instead of a full-data
         eigenanalysis at the configured TVE.
     sampling_subsets:
-        ``S`` of Alg. 2 (default 10).
-    sampling_picks:
-        ``T`` of Alg. 2 (default 3).
+        ``S`` of Alg. 2 (default 10); at least 3, the ``T`` subsets
+        Alg. 2 picks.
     sampling_rate:
         ``SR`` for the VIF compressibility probe (default 1%).
     transform:
@@ -85,11 +73,6 @@ class DPZConfig:
         If > 0, zero transform coefficients below this fraction of the
         largest magnitude *before* the PCA (the paper's future-work
         item on coefficient truncation).  0 disables.
-    max_ratio:
-        Largest acceptable N/M in the decomposition before padding
-        kicks in (see :mod:`repro.core.decompose`).
-    zlib_level:
-        Lossless add-on compression level.
     n_jobs:
         Worker threads for the block-parallel stages (1 = serial).
     store_outliers_f64:
@@ -107,22 +90,17 @@ class DPZConfig:
     """
 
     p: float = 1e-3
-    p_mode: str = "range"
     index_bytes: int = 1
     k_mode: str = "tve"
     tve: float = nines_to_tve(3)
     knee_fit: str = "1d"
     fixed_k: int | None = None
     standardize: str = "auto"
-    pca_solver: str = "auto"
     use_sampling: bool = False
     sampling_subsets: int = 10
-    sampling_picks: int = 3
     sampling_rate: float = 0.01
     transform: str = "dct"
     dct_truncate: float = 0.0
-    max_ratio: int = 8
-    zlib_level: int = 6
     n_jobs: int = 1
     store_outliers_f64: bool = False
     max_error: float | None = None
@@ -130,8 +108,6 @@ class DPZConfig:
     def __post_init__(self) -> None:
         if self.p <= 0:
             raise ConfigError(f"quantizer bound p must be positive, got {self.p}")
-        if self.p_mode not in _P_MODES:
-            raise ConfigError(f"p_mode must be one of {_P_MODES}")
         if self.index_bytes not in (1, 2):
             raise ConfigError(
                 f"index_bytes must be 1 or 2, got {self.index_bytes}"
@@ -146,17 +122,8 @@ class DPZConfig:
             raise ConfigError(f"knee_fit must be one of {_KNEE_FITS}")
         if self.standardize not in _STANDARDIZE:
             raise ConfigError(f"standardize must be one of {_STANDARDIZE}")
-        if self.pca_solver not in _PCA_SOLVERS:
-            raise ConfigError(
-                f"pca_solver must be one of {_PCA_SOLVERS}, got "
-                f"{self.pca_solver!r}"
-            )
-        if self.sampling_subsets < 2:
-            raise ConfigError("sampling_subsets must be >= 2")
-        if not 1 <= self.sampling_picks <= self.sampling_subsets:
-            raise ConfigError(
-                "sampling_picks must be in [1, sampling_subsets]"
-            )
+        if self.sampling_subsets < 3:
+            raise ConfigError("sampling_subsets must be >= 3")
         if not 0.0 < self.sampling_rate <= 1.0:
             raise ConfigError("sampling_rate must be in (0, 1]")
         from repro.core.encode import TRANSFORMS
@@ -173,10 +140,6 @@ class DPZConfig:
             raise ConfigError(
                 f"max_error must be positive, got {self.max_error}"
             )
-        if self.max_ratio < 2:
-            raise ConfigError("max_ratio must be >= 2")
-        if not 0 <= self.zlib_level <= 9:
-            raise ConfigError("zlib_level must be in [0, 9]")
         if self.n_jobs < 0:
             raise ConfigError("n_jobs must be >= 0 (0 = all cores)")
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.analysis.information import ecr_curve
 from repro.core.decompose import decompose
-from repro.core.transform_stage import forward_dct_blocks
+from repro.core.encode import forward_transform
 from repro.datasets.registry import get_dataset
 from repro.experiments.common import format_table
 
@@ -46,7 +46,7 @@ def run(dataset: str = "FLDSC", size: str = "small",
     lo, hi = float(data.min()), float(data.max())
     norm = (data - lo) / (hi - lo) - 0.5
     blocks, _ = decompose(norm)
-    coeffs = forward_dct_blocks(blocks)
+    coeffs = forward_transform(blocks, "dct")
 
     data_hist, data_edges = np.histogram(norm.reshape(-1), bins=bins)
     coeff_hist, coeff_edges = np.histogram(coeffs.reshape(-1), bins=bins)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.analysis.vif import variance_inflation_factors, vif_summary
 from repro.core.decompose import decompose
-from repro.core.transform_stage import forward_dct_blocks
+from repro.core.encode import forward_transform
 from repro.datasets.registry import get_dataset
 from repro.experiments.common import format_table
 
@@ -50,7 +50,7 @@ def run(datasets: tuple[str, ...] = FIG10_DATASETS,
         lo, hi = data.min(), data.max()
         norm = (data - lo) / (hi - lo) - 0.5
         blocks, plan = decompose(norm)
-        features = forward_dct_blocks(blocks).T
+        features = forward_transform(blocks, "dct").T
         for rate in rates:
             rng = np.random.default_rng(seed)
             # Floor of 6: at the scaled-down dataset sizes a 1% probe

@@ -20,7 +20,7 @@ import numpy as np
 from repro.analysis.information import ecr_curve
 from repro.analysis.metrics import psnr
 from repro.core.decompose import decompose, reassemble
-from repro.core.transform_stage import forward_dct_blocks, inverse_dct_blocks
+from repro.core.encode import forward_transform, inverse_transform
 from repro.datasets.registry import get_dataset
 from repro.experiments.common import format_table
 from repro.transforms.pca import PCA
@@ -64,7 +64,8 @@ def _dct_reconstruction(coeffs: np.ndarray, keep: int,
         kept = np.where(np.abs(flat) >= thresh, flat, 0.0)
     else:
         kept = flat
-    return reassemble(inverse_dct_blocks(kept.reshape(coeffs.shape)), plan)
+    return reassemble(
+        inverse_transform(kept.reshape(coeffs.shape), "dct"), plan)
 
 
 def run(dataset: str = "FLDSC", size: str = "small",
@@ -76,7 +77,7 @@ def run(dataset: str = "FLDSC", size: str = "small",
     """
     data = get_dataset(dataset, size).astype(np.float64)
     blocks, plan = decompose(data)
-    coeffs = forward_dct_blocks(blocks)
+    coeffs = forward_transform(blocks, "dct")
     features = coeffs.T
     pca = PCA(center=False).fit(features)
 
@@ -100,7 +101,7 @@ def run(dataset: str = "FLDSC", size: str = "small",
         psnr_dct[i] = psnr(data, recon_d)
         scores = pca.transform(features, k=k)
         recon_feats = pca.inverse_transform(scores)
-        recon_p = reassemble(inverse_dct_blocks(recon_feats.T), plan)
+        recon_p = reassemble(inverse_transform(recon_feats.T, "dct"), plan)
         psnr_pca[i] = psnr(data, recon_p)
     return Fig3Result(dataset=dataset, fractions=fracs, ecr_dct=ecr_at,
                       tve_pca=tve_at, psnr_dct=psnr_dct, psnr_pca=psnr_pca)

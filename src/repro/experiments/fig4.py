@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.analysis.metrics import max_abs_error, mse, psnr
 from repro.core.decompose import decompose, reassemble
-from repro.core.transform_stage import forward_dct_blocks, inverse_dct_blocks
+from repro.core.encode import forward_transform, inverse_transform
 from repro.datasets.registry import get_dataset
 from repro.experiments.common import format_table
 from repro.transforms.pca import PCA
@@ -96,9 +96,9 @@ def run(dataset: str = "FLDSC", size: str = "small",
     recons: dict[str, np.ndarray] = {}
 
     # 1. DCT alone: zonal masking per block.
-    coeffs = forward_dct_blocks(blocks)
+    coeffs = forward_transform(blocks, "dct")
     recons["dct"] = reassemble(
-        inverse_dct_blocks(_zonal_mask(coeffs, keep_frac)), plan
+        inverse_transform(_zonal_mask(coeffs, keep_frac), "dct"), plan
     )
 
     # 2. PCA alone, standard workflow (centered + standardized).
@@ -109,16 +109,16 @@ def run(dataset: str = "FLDSC", size: str = "small",
     # 3. DCT on PCA: selection in BOTH stages (20% of components, then
     #    20% of the coefficients of the PCA-reduced data).
     reduced = pca_sp.inverse_transform(scores).T            # (M, N)
-    red_coeffs = forward_dct_blocks(reduced)
+    red_coeffs = forward_transform(reduced, "dct")
     recons["dct_on_pca"] = reassemble(
-        inverse_dct_blocks(_zonal_mask(red_coeffs, keep_frac)), plan
+        inverse_transform(_zonal_mask(red_coeffs, keep_frac), "dct"), plan
     )
 
     # 4. PCA on DCT coefficients (DPZ's order, single selection stage).
     pca_dct = PCA(center=False).fit(coeffs.T)
     sc = pca_dct.transform(coeffs.T, k=k)
     feats = pca_dct.inverse_transform(sc)
-    recons["pca_on_dct"] = reassemble(inverse_dct_blocks(feats.T), plan)
+    recons["pca_on_dct"] = reassemble(inverse_transform(feats.T, "dct"), plan)
 
     errors: dict[str, PipelineError] = {}
     maps: dict[str, np.ndarray] = {}

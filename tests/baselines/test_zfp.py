@@ -10,6 +10,7 @@ from repro.baselines.zfp import (
     EBITS,
     ZFPCompressor,
     zfp_compress,
+    zfp_compress_recon,
     zfp_decompress,
 )
 from repro.errors import ConfigError, DataShapeError
@@ -71,6 +72,17 @@ class TestFixedAccuracy:
         tol = 1e-3
         recon = zfp_decompress(zfp_compress(tiny_3d, tolerance=tol))
         assert max_abs_error(tiny_3d, recon) <= tol
+
+    def test_tiny_magnitude_blocks(self, rng):
+        """Blocks near the bottom of the float64 range (max exponent
+        below -980) scale to fixed point without overflowing."""
+        data = rng.normal(size=(8, 8)) * 1e-300
+        tol = 1e-310
+        blob = zfp_compress(data, tolerance=tol)
+        assert max_abs_error(data, zfp_decompress(blob)) <= tol
+        payload, recon = zfp_compress_recon(data, tolerance=tol)
+        assert payload == blob
+        assert max_abs_error(data, recon) <= tol
 
     def test_looser_tolerance_smaller_output(self, smooth_2d):
         tight = len(zfp_compress(smooth_2d, tolerance=1e-5))

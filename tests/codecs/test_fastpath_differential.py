@@ -9,8 +9,6 @@ pre-rewrite reference over the same seeded shape families used by
   ``next_offset`` and error-message parity on corrupt streams;
 * the vectorized ``_canonical_codes`` vs. the original incremental
   loop (``_canonical_codes_ref``);
-* the packed-accumulator ``BitWriter`` vs. a verbatim copy of the old
-  one-byte-per-bit implementation;
 * the decode-table / ``from_bytes`` caches (satellite: no per-call
   table rebuilds).
 """
@@ -20,7 +18,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codecs.bitio import BitWriter
 from repro.codecs.huffman import (
     HuffmanTable,
     _canonical_codes,
@@ -235,121 +232,3 @@ def test_canonical_codes_overflow_error_parity():
         _canonical_codes(bad)
     assert str(vec_err.value) == str(ref_err.value)
 
-
-# -- BitWriter ---------------------------------------------------------------
-
-
-class _ReferenceBitWriter:
-    """Verbatim copy of the pre-rewrite one-bit-per-element BitWriter."""
-
-    def __init__(self) -> None:
-        self._chunks: list[np.ndarray] = []
-        self._nbits = 0
-
-    def __len__(self) -> int:
-        return self._nbits
-
-    def write(self, value: int, nbits: int) -> None:
-        if nbits < 0:
-            raise CodecError(f"negative bit count: {nbits}")
-        if nbits == 0:
-            return
-        value = int(value)
-        if value < 0 or (nbits < 64 and value >> nbits):
-            raise CodecError(f"value {value} does not fit in {nbits} bits")
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        bits = ((value >> shifts) & 1).astype(np.uint8)
-        self._chunks.append(bits)
-        self._nbits += nbits
-
-    def write_bit(self, bit: int) -> None:
-        self.write(bit & 1, 1)
-
-    def write_bits_array(self, values: np.ndarray, nbits: int) -> None:
-        values = np.ascontiguousarray(values).astype(np.uint64, copy=False)
-        if nbits == 0 or values.size == 0:
-            return
-        if nbits < 64 and np.any(values >> np.uint64(nbits)):
-            raise CodecError(f"some values do not fit in {nbits} bits")
-        shifts = np.arange(nbits - 1, -1, -1, dtype=np.uint64)
-        bits = ((values.reshape(-1, 1) >> shifts) & np.uint64(1)).astype(np.uint8)
-        self._chunks.append(bits.reshape(-1))
-        self._nbits += nbits * values.size
-
-    def write_bitplane(self, plane: np.ndarray) -> None:
-        plane = np.ascontiguousarray(plane, dtype=np.uint8).reshape(-1)
-        self._chunks.append(plane & 1)
-        self._nbits += plane.size
-
-    def getvalue(self) -> bytes:
-        if not self._chunks:
-            return b""
-        bits = np.concatenate(self._chunks)
-        return np.packbits(bits).tobytes()
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bitwriter_matches_reference_seeded(seed):
-    """Packed-accumulator writer == reference after *every* operation."""
-    rng = np.random.default_rng(9000 + seed)
-    for _ in range(10):
-        new, ref = BitWriter(), _ReferenceBitWriter()
-        for _ in range(int(rng.integers(1, 16))):
-            kind = int(rng.integers(0, 3))
-            if kind == 0:
-                nbits = int(rng.integers(0, 65))
-                value = int(rng.integers(0, 1 << min(nbits, 63))) if nbits else 0
-                new.write(value, nbits)
-                ref.write(value, nbits)
-            elif kind == 1:
-                nbits = int(rng.integers(1, 17))
-                vals = rng.integers(0, 1 << nbits,
-                                    size=int(rng.integers(0, 60)),
-                                    dtype=np.uint64)
-                new.write_bits_array(vals, nbits)
-                ref.write_bits_array(vals, nbits)
-            else:
-                plane = rng.integers(0, 2, size=int(rng.integers(0, 70)),
-                                     dtype=np.uint8)
-                new.write_bitplane(plane)
-                ref.write_bitplane(plane)
-            assert len(new) == len(ref)
-            assert new.getvalue() == ref.getvalue()
-
-
-def test_bitwriter_matches_reference_adversarial():
-    new, ref = BitWriter(), _ReferenceBitWriter()
-    for w in (new, ref):
-        w.write(0, 0)
-        w.write_bit(1)
-        w.write(2**64 - 1, 64)
-        w.write(1, 1)
-        w.write_bits_array(np.zeros(0, dtype=np.uint64), 7)
-        w.write_bitplane(np.tile([1, 0], 33).astype(np.uint8))
-        w.write(0b101, 3)
-    assert new.getvalue() == ref.getvalue()
-    assert len(new) == len(ref)
-    # Validation parity.
-    for writer_cls in (BitWriter, _ReferenceBitWriter):
-        w = writer_cls()
-        with pytest.raises(CodecError, match="negative bit count"):
-            w.write(1, -1)
-        with pytest.raises(CodecError, match="does not fit"):
-            w.write(8, 3)
-        with pytest.raises(CodecError, match="does not fit"):
-            w.write(-1, 3)
-        with pytest.raises(CodecError, match="do not fit"):
-            w.write_bits_array(np.array([9], dtype=np.uint64), 3)
-
-
-def test_bitwriter_getvalue_non_destructive():
-    w = BitWriter()
-    w.write(0b101, 3)
-    assert w.getvalue() == w.getvalue() == b"\xa0"
-    w.write(0b11111, 5)
-    w.write(0xAB, 8)
-    ref = _ReferenceBitWriter()
-    ref.write(0b101, 3)
-    ref.write(0b11111, 5)
-    ref.write(0xAB, 8)
-    assert w.getvalue() == ref.getvalue()

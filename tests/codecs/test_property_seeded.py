@@ -12,10 +12,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.codecs.bitio import BitReader, BitWriter
 from repro.codecs.huffman import HuffmanTable, huffman_decode, huffman_encode
 from repro.codecs.negabinary import int_to_negabinary, negabinary_to_int
-from repro.codecs.rle import rle_decode, rle_encode
 from repro.codecs.varint import (
     decode_uvarint,
     encode_uvarint,
@@ -133,98 +131,6 @@ def test_negabinary_small_values():
     got = int_to_negabinary(np.array(list(expected), dtype=np.int64))
     np.testing.assert_array_equal(got, np.array(list(expected.values()),
                                                 dtype=np.uint64))
-
-
-# -- rle --------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_rle_roundtrip_seeded(seed):
-    rng = np.random.default_rng(4000 + seed)
-    for _ in range(CASES_PER_SEED):
-        n = int(rng.integers(0, 500))
-        # Runny data: few distinct symbols repeated in bursts.
-        n_sym = int(rng.integers(1, 8))
-        arr = np.repeat(
-            rng.integers(0, 1 << int(rng.integers(1, 32)), size=n_sym),
-            rng.integers(1, 40, size=n_sym),
-        ).astype(np.int64)[:max(n, 0)]
-        blob = rle_encode(arr)
-        np.testing.assert_array_equal(rle_decode(blob), arr)
-
-
-@pytest.mark.parametrize("arr", [
-    np.zeros(0, dtype=np.int64),
-    np.array([5], dtype=np.int64),
-    np.full(1000, 9, dtype=np.int64),
-    np.tile([0, 1], 128).astype(np.int64),  # worst case: runs of 1
-    np.array([I64_MAX], dtype=np.int64),
-], ids=["empty", "single", "all-equal", "alternating", "max-int64"])
-def test_rle_adversarial(arr):
-    np.testing.assert_array_equal(rle_decode(rle_encode(arr)), arr)
-
-
-def test_rle_compresses_runs():
-    arr = np.full(10_000, 3, dtype=np.int64)
-    assert len(rle_encode(arr)) < 16
-
-
-# -- bitio ------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_bitio_roundtrip_seeded(seed):
-    rng = np.random.default_rng(5000 + seed)
-    for _ in range(CASES_PER_SEED):
-        ops = []
-        w = BitWriter()
-        for _ in range(int(rng.integers(1, 12))):
-            kind = int(rng.integers(0, 3))
-            if kind == 0:
-                nbits = int(rng.integers(0, 65))
-                value = int(rng.integers(0, 1 << min(nbits, 63))) if nbits else 0
-                w.write(value, nbits)
-                ops.append(("scalar", value, nbits))
-            elif kind == 1:
-                nbits = int(rng.integers(1, 17))
-                vals = rng.integers(0, 1 << nbits,
-                                    size=int(rng.integers(0, 50)),
-                                    dtype=np.uint64)
-                w.write_bits_array(vals, nbits)
-                ops.append(("array", vals, nbits))
-            else:
-                plane = rng.integers(0, 2, size=int(rng.integers(0, 70)),
-                                     dtype=np.uint8)
-                w.write_bitplane(plane)
-                ops.append(("plane", plane, None))
-        r = BitReader(w.getvalue())
-        for kind, payload, nbits in ops:
-            if kind == "scalar":
-                assert r.read(nbits) == payload
-            elif kind == "array":
-                np.testing.assert_array_equal(
-                    r.read_bits_array(len(payload), nbits), payload)
-            else:
-                np.testing.assert_array_equal(
-                    r.read_bitplane(len(payload)), payload)
-
-
-def test_bitio_adversarial():
-    # Empty writer -> empty bytes -> reader with nothing to give.
-    w = BitWriter()
-    assert w.getvalue() == b""
-    r = BitReader(b"")
-    assert len(r) == 0 and r.read(0) == 0
-    # Single bit, max 64-bit value, alternating plane.
-    w = BitWriter()
-    w.write_bit(1)
-    w.write(2**64 - 1, 64)
-    plane = np.tile([1, 0], 33).astype(np.uint8)
-    w.write_bitplane(plane)
-    r = BitReader(w.getvalue())
-    assert r.read_bit() == 1
-    assert r.read(64) == 2**64 - 1
-    np.testing.assert_array_equal(r.read_bitplane(plane.size), plane)
 
 
 # -- huffman ----------------------------------------------------------------

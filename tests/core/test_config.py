@@ -38,7 +38,6 @@ def test_frozen():
 @pytest.mark.parametrize("kwargs", [
     {"p": 0.0},
     {"p": -1e-3},
-    {"p_mode": "weird"},
     {"index_bytes": 3},
     {"k_mode": "magic"},
     {"k_mode": "fixed"},                      # missing fixed_k
@@ -48,11 +47,8 @@ def test_frozen():
     {"knee_fit": "cubic"},
     {"standardize": "maybe"},
     {"sampling_subsets": 1},
-    {"sampling_picks": 0},
-    {"sampling_picks": 20, "sampling_subsets": 10},
+    {"sampling_subsets": 2},                  # Alg. 2 picks 3 subsets
     {"sampling_rate": 0.0},
-    {"max_ratio": 1},
-    {"zlib_level": 10},
     {"n_jobs": -2},
 ])
 def test_invalid_configs_rejected(kwargs):
@@ -63,13 +59,3 @@ def test_invalid_configs_rejected(kwargs):
 def test_valid_fixed_k():
     cfg = DPZConfig(k_mode="fixed", fixed_k=5)
     assert cfg.fixed_k == 5
-
-
-@pytest.mark.parametrize("solver", ["auto", "dense", "randomized"])
-def test_valid_pca_solver(solver):
-    assert DPZConfig(pca_solver=solver).pca_solver == solver
-
-
-def test_invalid_pca_solver_rejected():
-    with pytest.raises(ConfigError):
-        DPZConfig(pca_solver="lanczos")

@@ -12,6 +12,7 @@ from repro.core.encode import (
     truncate_coefficients,
 )
 from repro.errors import ConfigError
+from repro.transforms.dct import dct1d
 
 
 class TestTransformRegistry:
@@ -26,6 +27,11 @@ class TestTransformRegistry:
     def test_shape_preserved(self, transform, rng):
         blocks = rng.normal(size=(5, 64))
         assert forward_transform(blocks, transform).shape == (5, 64)
+
+    def test_dct_matches_rowwise_dct1d(self, rng):
+        blocks = rng.normal(size=(10, 64))
+        np.testing.assert_allclose(forward_transform(blocks, "dct"),
+                                   dct1d(blocks, axis=1), atol=1e-12)
 
     def test_identity_is_identity(self, rng):
         blocks = rng.normal(size=(3, 32))
