@@ -29,7 +29,9 @@ from repro.codecs.huffman import (
 )
 from repro.codecs.varint import (
     decode_uvarint,
+    decode_uvarints,
     encode_uvarint,
+    encode_uvarints,
     zigzag_decode,
     zigzag_encode,
 )
@@ -56,21 +58,23 @@ def encode_residuals(residuals: np.ndarray,
     """Entropy-code an int64 residual array.
 
     Layout: ``uvarint(alphabet) || huffman_table || huffman_payload ||
-    uvarint(len(escapes_frame)) || escapes_frame``.
+    uvarint(len(escapes_frame)) || escapes_frame``.  Past the zigzag
+    map, every per-residual array is held at its narrowest dtype: the
+    symbols at the smallest unsigned type that holds the escape symbol
+    (uint16 at the default alphabet).
     """
     if alphabet < 2:
         raise CodecError(f"alphabet must be >= 2, got {alphabet}")
     flat = np.asarray(residuals, dtype=np.int64).reshape(-1)
     unsigned = zigzag_encode(flat)
-    escape = alphabet - 1
-    over = unsigned >= escape
-    symbols = np.where(over, np.uint64(escape), unsigned).astype(np.int64)
+    escape = np.uint64(alphabet - 1)
+    escapes = unsigned[unsigned >= escape]
+    symbols = np.minimum(unsigned, escape, out=unsigned).astype(
+        np.min_scalar_type(escape))
+    del unsigned
 
-    escapes = unsigned[over]
-    side = bytearray(encode_uvarint(int(escapes.size)))
-    for v in escapes.tolist():
-        side += encode_uvarint(v)
-    side_frame = zlib_compress(bytes(side))
+    side = encode_uvarint(int(escapes.size)) + encode_uvarints(escapes)
+    side_frame = zlib_compress(side)
 
     used = int(symbols.max()) + 1 if symbols.size else 1
     table = HuffmanTable.from_symbols(symbols, alphabet_size=used)
@@ -106,18 +110,13 @@ def decode_residuals_many(
         side_len, pos = decode_uvarint(data, pos)
         side = zlib_decompress(data[pos : pos + side_len])
         n_esc, spos = decode_uvarint(side, 0)
-        escape = alphabet - 1
+        idx = np.flatnonzero(symbols == alphabet - 1)
+        if idx.size != n_esc:
+            raise CodecError(
+                f"escape count mismatch: {idx.size} markers, {n_esc} values"
+            )
         unsigned = symbols.astype(np.uint64)
         if n_esc:
-            esc_vals = np.empty(n_esc, dtype=np.uint64)
-            for i in range(n_esc):
-                v, spos = decode_uvarint(side, spos)
-                esc_vals[i] = v
-            idx = np.flatnonzero(symbols == escape)
-            if idx.size != n_esc:
-                raise CodecError(
-                    f"escape count mismatch: {idx.size} markers, {n_esc} values"
-                )
-            unsigned[idx] = esc_vals
+            unsigned[idx] = decode_uvarints(side, n_esc, spos)[0]
         out.append(zigzag_decode(unsigned))
     return out

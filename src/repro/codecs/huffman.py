@@ -15,9 +15,11 @@ Design notes
   heuristic (clamp, then lengthen the cheapest codes until the Kraft
   sum is <= 1, then shorten greedily where slack remains).  The cap
   enables a single flat ``2**L``-entry decode table.
-* **Vectorized encode.**  Symbols are mapped to (code, length) arrays
-  and the bitstream is emitted with one NumPy pass (per-bit expansion
-  driven by ``np.repeat``), no per-symbol Python loop.
+* **Word-packed encode.**  Symbols are mapped to (code, length)
+  arrays and every codeword is ORed straight into the 64-bit word its
+  last bit lands in, its high bits spilling into the word before when
+  it crosses a boundary: a few NumPy passes per symbol, no per-bit
+  array and no per-symbol Python loop.
 * **Chunked speculative decode.**  The bitstream is cut into columns
   that are decoded speculatively in lockstep -- one vectorized table
   gather per round across all columns.  Huffman codes self-synchronize,
@@ -44,7 +46,6 @@ Design notes
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -67,6 +68,11 @@ MAX_CODE_LENGTH = 20
 #: Below this many symbols the scalar cursor loop wins (chunk
 #: bookkeeping in the speculative decoder would dominate).
 _SCALAR_CUTOFF = 1024
+
+#: Symbols :func:`huffman_encode` places per pass; bounds its
+#: temporaries (about 32 bytes per symbol) at about 32 MB whatever the
+#: stream length.
+_ENCODE_SLAB = 1 << 20
 
 #: Bounds on the speculative column width, in symbols.
 _MIN_COLUMN_SYMBOLS = 32
@@ -99,9 +105,16 @@ def _column_symbols(n: int) -> int:
 def _huffman_code_lengths(counts: NDArray[np.int64]) -> NDArray[np.int64]:
     """Compute unrestricted Huffman code lengths from symbol counts.
 
-    Uses the standard two-queue/heap construction.  Symbols with zero
-    count get length 0 (absent from the code).  A degenerate alphabet
-    of one used symbol gets length 1.
+    Two-queue construction: one queue holds the leaves sorted by
+    (count, symbol), the other the internal nodes in creation order,
+    which is weight order.  Each merge takes the lighter front twice, a
+    leaf winning a weight tie.  That is the pop order of a heap keyed
+    by (weight, tiebreak), with a leaf's tiebreak its symbol and an
+    internal node's its creation index past the alphabet, so the tree
+    and every length are that heap's.  Depths then follow the parent
+    links from the root down.  Symbols with zero count get length 0
+    (absent from the code).  A degenerate alphabet of one used symbol
+    gets length 1.
     """
     used = np.flatnonzero(counts)
     lengths = np.zeros(counts.size, dtype=np.int64)
@@ -110,28 +123,29 @@ def _huffman_code_lengths(counts: NDArray[np.int64]) -> NDArray[np.int64]:
     if used.size == 1:
         lengths[used[0]] = 1
         return lengths
-    # Heap of (weight, tiebreak, node). Leaves are ints; internal nodes
-    # are [left, right] lists. We accumulate depths at the end.
-    heap: list[tuple[int, int, object]] = [
-        (int(counts[s]), int(s), int(s)) for s in used
-    ]
-    heapq.heapify(heap)
-    tiebreak = int(counts.size)
-    while len(heap) > 1:
-        w1, _, n1 = heapq.heappop(heap)
-        w2, _, n2 = heapq.heappop(heap)
-        heapq.heappush(heap, (w1 + w2, tiebreak, [n1, n2]))
-        tiebreak += 1
-    # Iterative depth-first traversal assigning depths.
-    stack = [(heap[0][2], 0)]
-    while stack:
-        node, depth = stack.pop()
-        if isinstance(node, int):
-            lengths[node] = max(depth, 1)
+    leaves = used[np.argsort(counts[used], kind="stable")]
+    m = leaves.size
+    # Node k < m is leaf k; node k >= m is the (k - m)-th merge.
+    weight = counts[leaves].tolist() + [0] * (m - 1)
+    parent = [0] * (2 * m - 1)
+    i, j = 0, m  # queue fronts: next leaf, next internal node
+    for k in range(m, 2 * m - 1):
+        if j < k and (i == m or weight[j] < weight[i]):
+            a, j = j, j + 1
         else:
-            children = cast("list[object]", node)
-            stack.append((children[0], depth + 1))
-            stack.append((children[1], depth + 1))
+            a, i = i, i + 1
+        if j < k and (i == m or weight[j] < weight[i]):
+            b, j = j, j + 1
+        else:
+            b, i = i, i + 1
+        weight[k] = weight[a] + weight[b]
+        parent[a] = parent[b] = k
+    # A parent is created after its children, so it has the larger
+    # index: one descending pass sees every parent's depth first.
+    depth = [0] * (2 * m - 1)
+    for c in range(2 * m - 3, -1, -1):
+        depth[c] = depth[parent[c]] + 1
+    lengths[leaves] = depth[:m]
     return lengths
 
 
@@ -400,34 +414,78 @@ class HuffmanTable:
         return tables
 
 
+def _place_codes(words: NDArray[np.uint64], codes: NDArray[np.uint64],
+                 lens: NDArray[np.uint8], bit0: int) -> int:
+    """OR ``codes`` into ``words`` from stream bit ``bit0`` onward.
+
+    ``codes[i]`` is ``lens[i]`` bits long; codes go in order, MSB-first
+    within native uint64 words.  Returns the bit after the last code.
+
+    A code whose last bit fills its word's first ``f`` bits lies in
+    that word shifted left by ``64 - f``.  If the code is longer than
+    ``f``, the shift drops its high bits, ``code >> f``, which spill
+    into the word before.  No code is longer than a word, so each word
+    from the first code's last one to the last code's has a first code
+    ending in it: the one that holds the word's first bit, which is the
+    code with ``f <= len`` (or code 0).  One ``bitwise_or.reduceat``
+    over those runs fills the slice.  Clobbers ``codes``.
+    """
+    w0, b0 = divmod(bit0, 64)
+    last = np.cumsum(lens, dtype=np.uint32)
+    last += np.uint32(b0)
+    last -= np.uint32(1)  # each code's last bit, counted from word w0
+    fill = (last & np.uint32(63)).astype(np.uint8)
+    fill += np.uint8(1)
+    cross = np.flatnonzero(fill < lens)
+    spill = codes[cross] >> fill[cross]
+    np.left_shift(codes, np.uint8(64) - fill, out=codes)
+    first = fill <= lens
+    first[0] = True
+    word = last >> np.uint32(6)
+    out = words[w0:]
+    out[int(word[0]) : int(word[-1]) + 1] |= np.bitwise_or.reduceat(
+        codes, np.flatnonzero(first))
+    out[word[cross] - np.uint32(1)] |= spill
+    return bit0 + int(last[-1]) + 1 - b0
+
+
 def huffman_encode(symbols: NDArray[Any], table: HuffmanTable) -> bytes:
     """Encode an integer symbol array; returns ``uvarint(n) || bitstream``.
 
-    Fully vectorized: per-symbol codeword bits are expanded with
-    ``np.repeat`` and packed with ``np.packbits``.
+    The bitstream is the codewords back to back, MSB-first, zero-padded
+    to a byte.  Codes are placed straight into 64-bit words
+    (:func:`_place_codes`), :data:`_ENCODE_SLAB` symbols per pass, so
+    the temporaries scale with one slab, not the stream; one big-endian
+    cast of the words gives the bytes.
     """
-    symbols = np.asarray(symbols).reshape(-1).astype(np.int64, copy=False)
+    symbols = np.asarray(symbols).reshape(-1)
+    if symbols.dtype.kind not in "iu":
+        symbols = symbols.astype(np.int64)
     n = symbols.size
     header = encode_uvarint(n)
     if n == 0:
         return header
-    with span("huffman.encode", bytes_in=int(symbols.nbytes),
-              n_symbols=n) as sp:
+    # bytes_in counts int64 symbols, whatever the input dtype: the
+    # width huffman.decode outputs, so the two spans' rates compare.
+    with span("huffman.encode", bytes_in=8 * n, n_symbols=n) as sp:
         if symbols.min() < 0 or symbols.max() >= table.alphabet_size:
             raise CodecError("symbol outside table alphabet")
-        lens = table.lengths[symbols]
-        if np.any(lens == 0):
-            raise CodecError("symbol has no codeword (zero length)")
-        codes = table.codes[symbols]
-        total = int(lens.sum())
-        # Bit position of each symbol's first bit, then per-bit index
-        # within the symbol's codeword; extract that bit of the codeword.
-        starts = np.concatenate(([0], np.cumsum(lens)[:-1]))
-        owner = np.repeat(np.arange(n), lens)        # symbol owning bit i
-        within = np.arange(total) - starts[owner]    # bit index inside code
-        shift = (lens[owner] - 1 - within).astype(np.uint64)
-        bits = ((codes[owner] >> shift) & np.uint64(1)).astype(np.uint8)
-        out = header + np.packbits(bits).tobytes()
+        if table.max_length > 64:
+            raise CodecError("code length exceeds 64 bits")
+        len_tab = table.lengths.astype(np.uint8)
+        # n codes take at most n * max_length bits; the words past the
+        # last code stay zero and are cut off.
+        words = np.zeros(-(-n * table.max_length // 64), dtype=np.uint64)
+        bit = 0
+        for lo in range(0, n, _ENCODE_SLAB):
+            idx = symbols[lo : lo + _ENCODE_SLAB].astype(np.intp, copy=False)
+            lens = len_tab[idx]
+            if not lens.all():
+                raise CodecError("symbol has no codeword (zero length)")
+            bit = _place_codes(words, table.codes[idx], lens, bit)
+        body = words[: -(-bit // 64)].astype(">u8").view(np.uint8)
+        body = body[: -(-bit // 8)]
+        out = header + body.tobytes()
         sp.add(bytes_out=len(out))
     counter_inc("huffman.encode.symbols", n)
     counter_inc("huffman.encode.bytes_out", len(out))

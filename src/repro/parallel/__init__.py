@@ -4,8 +4,9 @@ The paper notes (Section V-C5) that DPZ's block-based design makes its
 stages parallelizable -- in particular quantization/encoding needs "no
 communication among the distributed blocks".  This subpackage provides
 the machinery: :func:`repro.parallel.executor.parallel_map` runs a
-function over block chunks on a thread pool (NumPy releases the GIL in
-its C kernels, so threads scale here without pickling overhead), and
+function over block chunks on a thread pool (no pickling; it gains only
+where NumPy's C loops, which release the GIL, dominate a task -- see
+its module notes), and
 :mod:`repro.parallel.chunking` computes balanced block ranges.
 """
 

@@ -4,10 +4,13 @@ A thin, dependency-free layer over :mod:`concurrent.futures`:
 
 * ``n_jobs=1`` (the default) runs serially with zero overhead -- the
   right choice for small inputs, where pool startup dominates;
-* ``n_jobs>1`` uses a thread pool.  The heavy kernels this project
-  parallelizes (blockwise DCT, quantization, Huffman bit packing) spend
-  their time inside NumPy C loops that release the GIL, so threads give
-  real speedup without the serialization cost of processes;
+* ``n_jobs>1`` uses a thread pool.  Threads only help where a task
+  spends most of its time in NumPy C loops long enough to release the
+  GIL.  A store chunk's codec work is many short NumPy calls with
+  Python in between, so the threads mostly take turns on the GIL: on
+  a 2-vCPU host ``Store.add(n_jobs=0)`` is slower than ``n_jobs=1`` on
+  every pack of the ``store`` and ``serve`` benchmarks and burns
+  50-115 % more CPU time (EXPERIMENTS.md, "Threads on store packs");
 * ``n_jobs=0`` or ``None`` auto-sizes to ``os.cpu_count()``.
 
 The thread pool is process-lifetime: the first parallel call creates

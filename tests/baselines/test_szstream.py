@@ -3,10 +3,14 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.baselines.szstream import decode_residuals, encode_residuals
+from repro.codecs.varint import encode_uvarint, encode_uvarints
+from repro.codecs.zlibc import zlib_compress
+from repro.errors import CodecError
 
 
 def test_roundtrip_small_residuals(rng):
@@ -58,3 +62,48 @@ def test_roundtrip_property(values):
     np.testing.assert_array_equal(
         decode_residuals(blob, res.size, alphabet=256), res
     )
+
+
+def _with_side_stream(blob: bytes, escapes: np.ndarray, side: bytes) -> bytes:
+    """``blob`` with its escape side stream replaced by ``side``."""
+    frame = zlib_compress(encode_uvarint(escapes.size)
+                          + encode_uvarints(escapes))
+    head = blob[: len(blob) - len(frame) - len(encode_uvarint(len(frame)))]
+    assert head + encode_uvarint(len(frame)) + frame == blob
+    forged = zlib_compress(side)
+    return head + encode_uvarint(len(forged)) + forged
+
+
+@pytest.mark.parametrize("n_esc", [2 ** 40, 2 ** 63, 9, 11])
+def test_forged_escape_count_raises_before_allocating(n_esc):
+    res = np.zeros(500, dtype=np.int64)
+    res[::50] = 10 ** 9  # 10 escapes
+    escapes = np.full(10, 2 * 10 ** 9, dtype=np.uint64)
+    blob = encode_residuals(res)
+    assert np.array_equal(decode_residuals(blob, res.size), res)
+    forged = _with_side_stream(
+        blob, escapes, encode_uvarint(n_esc) + encode_uvarints(escapes))
+    with pytest.raises(CodecError, match="escape count mismatch"):
+        decode_residuals(forged, res.size)
+
+
+def test_truncated_escape_values_raise():
+    res = np.zeros(500, dtype=np.int64)
+    res[::50] = 10 ** 9
+    escapes = np.full(10, 2 * 10 ** 9, dtype=np.uint64)
+    blob = encode_residuals(res)
+    side = encode_uvarint(10) + encode_uvarints(escapes)
+    for cut in (1, 3, 40):
+        forged = _with_side_stream(blob, escapes, side[:-cut])
+        with pytest.raises(CodecError, match="truncated uvarint"):
+            decode_residuals(forged, res.size)
+
+
+def test_escape_markers_without_values_raise():
+    res = np.zeros(500, dtype=np.int64)
+    res[7] = 10 ** 9
+    escapes = np.full(1, 2 * 10 ** 9, dtype=np.uint64)
+    forged = _with_side_stream(encode_residuals(res), escapes,
+                               encode_uvarint(0))
+    with pytest.raises(CodecError, match="escape count mismatch"):
+        decode_residuals(forged, res.size)
